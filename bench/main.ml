@@ -583,15 +583,9 @@ let parallel_speedup () =
   in
   let s_tet = Prototile.tetromino `S and z_tet = Prototile.tetromino `Z in
   let sz_period = Sublattice.of_basis [| [| 4; 0 |]; [| 0; 8 |] |] in
-  report "torus exact cover, S+Z on 4x8, backtracking, all solutions" (fun pool ->
-      Tiling.Search.cover_torus ~period:sz_period ~prototiles:[ s_tet; z_tet ]
-        ~max_solutions:max_int ~engine:`Backtracking ~pool ());
-  report "torus exact cover, S+Z on 4x8, dancing links, all solutions" (fun pool ->
-      Tiling.Search.cover_torus ~period:sz_period ~prototiles:[ s_tet; z_tet ]
-        ~max_solutions:max_int ~engine:`Dlx ~pool ());
   report "torus exact cover, S+Z on 4x8, bitmask, all solutions" (fun pool ->
       Tiling.Search.cover_torus ~period:sz_period ~prototiles:[ s_tet; z_tet ]
-        ~max_solutions:max_int ~engine:`Bitmask ~pool ());
+        ~max_solutions:max_int ~pool ());
   report "lattice tilings, Chebyshev ball r=3 (|N| = 49)" (fun pool ->
       Tiling.Search.lattice_tilings ~pool (Prototile.chebyshev_ball ~dim:2 3));
   let cheb1 = Prototile.chebyshev_ball ~dim:2 1 in

@@ -103,35 +103,7 @@ let jobs_term =
             "Worker domains for the search and simulation engines (1 = sequential). Output is \
              bit-identical at every value.")
   in
-  (* [--sched] picks how subtrees reach the domains: the work-stealing
-     scheduler (default) or the original static split, kept selectable
-     as its differential oracle.  Output is bit-identical either way. *)
-  let sched_conv =
-    let parse = function
-      | "static" -> Ok `Static
-      | "steal" -> Ok `Steal
-      | s -> Error (`Msg (Printf.sprintf "unknown scheduler %S (expected static or steal)" s))
-    in
-    let print fmt s =
-      Format.pp_print_string fmt (match s with `Static -> "static" | `Steal -> "steal")
-    in
-    Arg.conv (parse, print)
-  in
-  let sched =
-    Arg.(
-      value
-      & opt sched_conv (Parallel.default_sched ())
-      & info [ "sched" ] ~docv:"SCHED"
-          ~doc:
-            "Parallel scheduler: $(b,steal) (work-stealing deques with lazy subtree splitting, \
-             the default) or $(b,static) (fixed root split, the differential oracle). Output is \
-             bit-identical under both.")
-  in
-  let set jobs sched =
-    Parallel.set_default_jobs jobs;
-    Parallel.set_default_sched sched
-  in
-  Term.(const set $ jobs $ sched)
+  Term.(const Parallel.set_default_jobs $ jobs)
 
 let width_arg =
   Arg.(value & opt int 12 & info [ "w"; "width" ] ~docv:"W" ~doc:"Window/field width.")
@@ -1029,7 +1001,7 @@ let lifetime_cmd =
 
     (* 3. Battery simulation: static vs rotating leadership under the
        same injected faults, swept over two seeds through run_sweep so
-       the per-seed results are reproducible at every -j / --sched. *)
+       the per-seed results are reproducible at every -j. *)
     let* static_rot =
       Result.map_error
         (fun e -> `Msg e)
@@ -1091,7 +1063,7 @@ let lifetime_cmd =
          "Lifetime demo: rotate the schedule over distinct covers of the deployment torus \
           (tighter leader-duty spread), repair a leader death by re-tiling a wrapped window \
           (certified, locally optimal), and compare static vs rotating battery lifetimes under \
-          injected faults. Output is deterministic and bit-identical at every -j and --sched.")
+          injected faults. Output is deterministic and bit-identical at every -j.")
     Term.(
       term_result
         (const run $ jobs_term $ tile_arg $ width_arg $ height_arg $ rotate_arg $ deaths_arg
@@ -1126,8 +1098,7 @@ let bench_cmd =
       & info [ "skew" ]
           ~doc:
             "Run (or validate) the EXP-P3 scheduler suite instead: the adversarial skewed \
-             instance counted sequentially and at jobs=4 under each scheduler, emitted as \
-             BENCH_6.json.")
+             instance counted sequentially and at jobs=4, emitted as BENCH_6.json.")
   in
   let lifetime_arg =
     Arg.(
@@ -1215,7 +1186,7 @@ let bench_cmd =
        ~doc:
          "Run the Bechamel micro-benchmark suite (including the three torus exact-cover engines) \
           and optionally emit or validate the machine-readable BENCH_5.json artifact; with \
-          $(b,--skew), the EXP-P3 static-vs-steal scheduler suite and BENCH_6.json instead; with \
+          $(b,--skew), the EXP-P3 scheduler suite and BENCH_6.json instead; with \
           $(b,--lifetime), the EXP-L1 rotation/repair suite and BENCH_7.json; with \
           $(b,--corpus), the EXP-CORPUS mmap-vs-store lookup suite and BENCH_8.json; with \
           $(b,--server), the EXP-SRV2 wire-protocol suite and BENCH_10.json.")

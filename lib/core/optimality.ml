@@ -133,7 +133,7 @@ let color_with ~adj k =
    breaking), then evaluate the subtrees on the pool's domains.  The
    answer is an existence question, so it is identical to the sequential
    search's for any pool size and branch timing. *)
-let color_feasible pool ?sched ~adj k =
+let color_feasible pool ~adj k =
   let n = Array.length adj in
   if n = 0 then true
   else if Parallel.jobs pool = 1 then color_with ~adj k <> None
@@ -170,18 +170,17 @@ let color_feasible pool ?sched ~adj k =
     if pos >= n then prefixes <> []
     else
       (* Subtree costs are wildly uneven (most prefixes die fast, a few
-         carry the whole search), so the stealing scheduler's dynamic
-         balance is the default here too. *)
-      Parallel.map_array ?sched pool
+         carry the whole search), which the stealing scheduler balances. *)
+      Parallel.map_array pool
         (fun (colors, used) -> extend ~adj ~order colors ~pos ~used k)
         (Array.of_list prefixes)
       |> Array.exists Fun.id
   end
 
-let chromatic_number ?pool ?sched adj =
+let chromatic_number ?pool adj =
   let pool = match pool with Some pl -> pl | None -> Parallel.default () in
   let n = Array.length adj in
-  let rec go k = if k > n then n else if color_feasible pool ?sched ~adj k then k else go (k + 1) in
+  let rec go k = if k > n then n else if color_feasible pool ~adj k then k else go (k + 1) in
   go 0
 
 let role_graph multi =
@@ -203,9 +202,9 @@ let role_graph multi =
     (role_conflicts multi);
   (adj, base, sizes)
 
-let ground_rule_minimum ?pool ?sched multi =
+let ground_rule_minimum ?pool multi =
   let adj, _, _ = role_graph multi in
-  chromatic_number ?pool ?sched adj
+  chromatic_number ?pool adj
 
 let ground_rule_assignment multi k =
   let adj, base, sizes = role_graph multi in

@@ -28,7 +28,7 @@ val role_conflicts : Tiling.Multi.t -> (role * role) list
 (** Edges of the role graph: roles that some pair of distinct sensors
     with intersecting ranges occupies. Exact via the quotient. *)
 
-val ground_rule_minimum : ?pool:Parallel.pool -> ?sched:Parallel.sched -> Tiling.Multi.t -> int
+val ground_rule_minimum : ?pool:Parallel.pool -> Tiling.Multi.t -> int
 (** Chromatic number of the role graph: the optimal slot count for this
     tiling under Section 4's ground rules. Equals
     [size of the respectable prototile] for respectable tilings. *)
@@ -37,7 +37,7 @@ val ground_rule_assignment : Tiling.Multi.t -> int -> (role * int) list option
 (** A valid assignment of roles to the given number of slots, if one
     exists (witness for {!ground_rule_minimum}). *)
 
-val chromatic_number : ?pool:Parallel.pool -> ?sched:Parallel.sched -> bool array array -> int
+val chromatic_number : ?pool:Parallel.pool -> bool array array -> int
 (** Exact chromatic number of a small graph by branch and bound;
     exposed for reuse by the baselines and the finite-domain check.
     With a pool of more than one domain (default {!Parallel.default}),

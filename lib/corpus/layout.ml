@@ -71,7 +71,7 @@ let encode_record ~band ~tag ~key ~payload =
   Bytes.blit_string key 0 b header_size klen;
   Bytes.blit_string payload 0 b (header_size + klen) plen;
   let body = Bytes.sub_string b 4 (header_size - 4 + klen + plen) in
-  Bytes.set_int32_le b 0 (Store.crc32 body);
+  Bytes.set_int32_le b 0 (Core.Crc32.of_string body);
   Bytes.unsafe_to_string b
 
 (* Walk every record of a raw segment image (magic included), calling
@@ -98,7 +98,8 @@ let fold_records data ~init ~f =
         let plen = get_u32 data (off + 8) in
         if klen = 0 || klen >= max_key || plen > max_payload || off + header_size + klen + plen > n
         then err := Some (Printf.sprintf "impossible record lengths at byte %d" off)
-        else if Store.crc32 (String.sub data (off + 4) (header_size - 4 + klen + plen)) <> crc
+        else if
+          Core.Crc32.of_string (String.sub data (off + 4) (header_size - 4 + klen + plen)) <> crc
         then err := Some (Printf.sprintf "CRC mismatch at byte %d" off)
         else if tag <> tag_non_exact && tag <> tag_exact then
           err := Some (Printf.sprintf "unknown verdict tag %d at byte %d" tag off)

@@ -159,12 +159,11 @@ let check_fanout_application ctx args =
 (* The stealing entry points.  [Steal.run] receives its worker-run
    closures nested inside task tuples and arrays rather than as direct
    function arguments, so the purity scan must descend through arbitrary
-   argument structure and check every lambda it finds; [Steal.spawn] and
-   [steal_map_array] get the same treatment for uniformity. *)
+   argument structure and check every lambda it finds; [Steal.spawn]
+   gets the same treatment for uniformity. *)
 let steal_functions = function
   | [ "Parallel"; "Steal"; ("run" | "spawn") ]
-  | [ "Steal"; ("run" | "spawn") ]
-  | [ "Parallel"; "steal_map_array" ] -> true
+  | [ "Steal"; ("run" | "spawn") ] -> true
   | _ -> false
 
 let rec scan_lambdas ctx e =

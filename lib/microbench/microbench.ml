@@ -60,7 +60,7 @@ let required =
     "torus-mat-bitmask";
   ]
 
-let required_skew = [ "skew-seq-j1"; "skew-static-j4"; "skew-steal-j4" ]
+let required_skew = [ "skew-seq-j1"; "skew-steal-j4" ]
 
 let run_tests ~quota tests =
   let open Bechamel in
@@ -87,15 +87,12 @@ let run_skew ?(quota = 0.5) () =
   let period, prototiles = skew_instance ~n:28 in
   let pool1 = Parallel.create ~jobs:1 in
   let pool4 = Parallel.create ~jobs:4 in
-  let count pool sched () =
-    Tiling.Search.count_torus_covers ~period ~prototiles ~pool ~sched ()
-  in
+  let count pool () = Tiling.Search.count_torus_covers ~period ~prototiles ~pool () in
   let tests =
     Test.make_grouped ~name:"skew"
       [
-        Test.make ~name:"skew-seq-j1" (Staged.stage (count pool1 `Static));
-        Test.make ~name:"skew-static-j4" (Staged.stage (count pool4 `Static));
-        Test.make ~name:"skew-steal-j4" (Staged.stage (count pool4 `Steal));
+        Test.make ~name:"skew-seq-j1" (Staged.stage (count pool1));
+        Test.make ~name:"skew-steal-j4" (Staged.stage (count pool4));
       ]
   in
   Fun.protect

@@ -270,7 +270,7 @@ let energy_conservation_ok ?(eps = 1e-9) model r =
 
 let first_death r = match r.deaths with [] -> None | (t, _) :: _ -> Some t
 
-let run_sweep ?pool ?sched ?trace_of cfg ~seeds =
+let run_sweep ?pool ?trace_of cfg ~seeds =
   let pool = match pool with Some pl -> pl | None -> Parallel.default () in
   (* Runs are independent (all state is created inside [run], randomness
      comes from per-node streams split off the run seed), so seeds can go
@@ -279,4 +279,4 @@ let run_sweep ?pool ?sched ?trace_of cfg ~seeds =
      supplies a per-seed sink instead, giving each run a single-writer
      log - sweeps with traces stay deterministic. *)
   let trace_of = match trace_of with Some f -> f | None -> fun _ -> None in
-  Parallel.map ?sched pool (fun seed -> run { cfg with seed; trace = trace_of seed }) seeds
+  Parallel.map pool (fun seed -> run { cfg with seed; trace = trace_of seed }) seeds

@@ -77,7 +77,6 @@ val run : config -> result
 
 val run_sweep :
   ?pool:Parallel.pool ->
-  ?sched:Parallel.sched ->
   ?trace_of:(int64 -> Trace.t option) ->
   config ->
   seeds:int64 list ->
@@ -91,8 +90,8 @@ val run_sweep :
     Tracing: the shared [cfg.trace] sink is {e ignored} (one sink
     written by concurrent runs would interleave nondeterministically).
     Instead, [trace_of seed] supplies each run its own sink - a
-    single-writer log per seed, filled identically at every pool size
-    and scheduler.  Callers must return a distinct [Trace.t] per seed
+    single-writer log per seed, filled identically at every pool size.
+    Callers must return a distinct [Trace.t] per seed
     (sharing one across seeds reintroduces the race); the default keeps
     tracing off. *)
 

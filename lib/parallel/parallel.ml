@@ -1,8 +1,8 @@
 (* A generation-stamped batch dispatcher: workers park on [start] between
    batches; a batch bumps [generation], publishes the task under the
    mutex, and everyone (submitter included) pulls indices from one atomic
-   counter.  Results are written by index on the caller's side, so
-   scheduling order never shows in the output. *)
+   counter.  The maps below use it only to start one work-stealing
+   worker loop per domain ([Steal.run]). *)
 
 type pool = {
   pool_jobs : int;
@@ -120,15 +120,6 @@ let parallel_for pool ~n f =
       Mutex.unlock pool.mutex;
       match failure with Some e -> raise e | None -> ()
     end
-  end
-
-let map_array pool f xs =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n None in
-    parallel_for pool ~n (fun i -> out.(i) <- Some (f xs.(i)));
-    Array.map Option.get out
   end
 
 (* ---------- the work-stealing scheduler ---------- *)
@@ -349,42 +340,24 @@ module Steal = struct
     end
 end
 
-let steal_map_array pool f xs =
+(* ---------- fork/join maps ---------- *)
+
+(* [jobs = 1] runs inline; otherwise one stealing task per element (no
+   splitting), so uneven per-element costs balance across the deques.
+   Chunks are keyed by index, so either way the output is index-ordered. *)
+let map_array pool f xs =
   let n = Array.length xs in
-  if n = 0 then [||]
+  if pool.pool_jobs <= 1 || n = 0 then Array.map f xs
   else begin
     let tasks = Array.init n (fun i -> ([ i ], fun _ctx -> [ ([ i ], f xs.(i)) ])) in
-    let chunks = Steal.run pool tasks in
-    let out = Array.of_list (List.map snd chunks) in
+    let out = Array.of_list (List.map snd (Steal.run pool tasks)) in
     assert (Array.length out = n);
     out
   end
 
-(* ---------- the scheduler default ---------- *)
-
-type sched = [ `Static | `Steal ]
-
-let env_sched () =
-  match Sys.getenv_opt "TILESCHED_SCHED" with
-  | Some s -> ( match String.trim s with "static" -> `Static | _ -> `Steal)
-  | None -> `Steal
-
-let default_sched_ref = ref (env_sched ())
-let default_sched () = !default_sched_ref
-let set_default_sched s = default_sched_ref := s
-
-(* Scheduler-aware fork/join maps, shadowing the static-split versions
-   above.  Both schedulers produce the same (index-ordered) output; the
-   [`Steal] path merely balances uneven task costs across the deques. *)
-let map_array ?sched pool f xs =
-  let sched = match sched with Some s -> s | None -> default_sched () in
-  match sched with
-  | `Static -> map_array pool f xs
-  | `Steal -> if pool.pool_jobs <= 1 then map_array pool f xs else steal_map_array pool f xs
-
-let map ?sched pool f xs = Array.to_list (map_array ?sched pool f (Array.of_list xs))
-let filter_map ?sched pool f xs = List.filter_map Fun.id (map ?sched pool f xs)
-let concat_map ?sched pool f xs = List.concat (map ?sched pool f xs)
+let map pool f xs = Array.to_list (map_array pool f (Array.of_list xs))
+let filter_map pool f xs = List.filter_map Fun.id (map pool f xs)
+let concat_map pool f xs = List.concat (map pool f xs)
 
 (* ---------- the process-wide default pool ---------- *)
 

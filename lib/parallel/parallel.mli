@@ -15,7 +15,7 @@
     task observes another's timing.  Provided the task function itself is
     deterministic, [map pool f xs = List.map f xs] for {e every} pool
     size - the tests enforce this for the search engines at
-    [jobs = 1, 2, 4, 8], under both schedulers.
+    [jobs = 1, 2, 4, 8].
 
     {2 Pool lifecycle}
 
@@ -62,26 +62,6 @@ val parallel_for : pool -> n:int -> (int -> unit) -> unit
     are done.  If any task raises, one of the exceptions is re-raised
     here after the batch drains (remaining tasks are skipped on a
     best-effort basis). *)
-
-type sched = [ `Static | `Steal ]
-(** How fork/join work is distributed over the pool:
-
-    - [`Static]: the original batch dispatcher - one shared atomic index
-      over a fixed task array.  Kept selectable as the differential
-      oracle for the stealing scheduler.
-    - [`Steal]: per-worker deques with work stealing and lazy task
-      splitting ({!Steal}), the default.  Balances skewed task costs;
-      produces bit-identical output to [`Static] (and to [jobs = 1]) by
-      the canonical-key merge described below. *)
-
-val default_sched : unit -> sched
-(** The process-wide scheduler default, initially [TILESCHED_SCHED] from
-    the environment (["static"] selects [`Static]; anything else,
-    including unset, selects [`Steal]).  Every [?sched] argument below
-    and in the search entry points falls back to this, which is how the
-    [tilesched --sched] flag reaches them. *)
-
-val set_default_sched : sched -> unit
 
 module Steal : sig
   (** The work-stealing runtime.
@@ -150,24 +130,20 @@ module Steal : sig
       drain; remaining tasks are skipped best-effort. *)
 end
 
-val steal_map_array : pool -> ('a -> 'b) -> 'a array -> 'b array
-(** [map_array] on the stealing runtime: one task per element, no
-    splitting - dynamic load balance for uneven per-element cost.
-    Output is index-ordered, identical to {!map_array}. *)
-
-val map_array : ?sched:sched -> pool -> ('a -> 'b) -> 'a array -> 'b array
+val map_array : pool -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array pool f xs]: like [Array.map f xs]; element [i] of the
-    result is [f xs.(i)] regardless of which domain computed it.
-    [sched] (default {!default_sched}) picks the distribution
-    mechanism; both produce identical output. *)
+    result is [f xs.(i)] regardless of which domain computed it.  At
+    [jobs = 1] this is [Array.map]; otherwise every element is one
+    {!Steal} task (no splitting), which balances uneven per-element
+    costs dynamically. *)
 
-val map : ?sched:sched -> pool -> ('a -> 'b) -> 'a list -> 'b list
+val map : pool -> ('a -> 'b) -> 'a list -> 'b list
 (** [map pool f xs = List.map f xs], computed in parallel. *)
 
-val filter_map : ?sched:sched -> pool -> ('a -> 'b option) -> 'a list -> 'b list
+val filter_map : pool -> ('a -> 'b option) -> 'a list -> 'b list
 (** [filter_map pool f xs = List.filter_map f xs]: [f] runs in
     parallel, the filtering keeps list order. *)
 
-val concat_map : ?sched:sched -> pool -> ('a -> 'b list) -> 'a list -> 'b list
+val concat_map : pool -> ('a -> 'b list) -> 'a list -> 'b list
 (** [concat_map pool f xs = List.concat_map f xs]: chunk results are
     concatenated in input order. *)

@@ -18,8 +18,6 @@ type t = {
   corpus : Corpus.Snapshot.t option;
   queue_bound : int;
   deadline : float option;
-  torus_factors : int list;
-  search_engine : Tiling.Search.engine;
   pool : Parallel.pool;
   mutable served : int;
   mutable overloaded : int;
@@ -31,12 +29,11 @@ type t = {
   mutable corpus_hits : int;
 }
 
-let create ?(cache_capacity = 256) ?(queue_bound = 512) ?deadline
-    ?(torus_factors = [ 1; 2; 3; 4 ]) ?(search_engine = `Bitmask) ?pool ?store ?corpus () =
+let create ?(cache_capacity = 256) ?(queue_bound = 512) ?deadline ?pool ?store ?corpus () =
   if queue_bound < 1 then invalid_arg "Engine.create: queue_bound must be >= 1";
   let pool = match pool with Some p -> p | None -> Parallel.default () in
   { cache = Cache.create ~capacity:cache_capacity; store; corpus; queue_bound; deadline;
-    torus_factors; search_engine; pool; served = 0; overloaded = 0; errors = 0;
+    pool; served = 0; overloaded = 0; errors = 0;
     searches = 0; coalesced = 0; timeouts = 0; store_hits = 0; corpus_hits = 0 }
 
 let queue_bound t = t.queue_bound
@@ -84,59 +81,26 @@ let flush_to_store t =
           written + 1
         end)
 
-(* Deadline-aware mirror of [Tiling.Search.find_tiling]: the same stages
-   in the same order, with the wall clock checked between stages (a
-   single stage can overshoot; the bound is per-stage granular).  Returns
-   [None] on timeout, [Some entry] otherwise. *)
-exception Expired
-
-let search t tile =
+(* [Tiling.Search.find_tiling] with the wall clock checked before every
+   stage: a single stage can overshoot, so the bound is per-stage
+   granular.  Returns [None] on timeout, [Some entry] otherwise. *)
+let first_hit t tile =
   let deadline = Option.map (fun d -> Unix.gettimeofday () +. d) t.deadline in
-  let check () =
-    match deadline with
-    | Some d when Unix.gettimeofday () >= d -> raise Expired
-    | _ -> ()
+  let expired () = match deadline with Some d -> Unix.gettimeofday () >= d | None -> false in
+  let rec first stages =
+    match stages () with
+    | Seq.Nil -> Some Absent
+    | Seq.Cons (_, _) when expired () -> None
+    | Seq.Cons (stage, rest) -> (
+      match stage () with
+      | None -> first rest
+      | Some tiling ->
+        Some
+          (Found
+             { tiling; schedule = Core.Schedule.of_tiling tiling;
+               certificate = Core.Certificate.build tiling }))
   in
-  let entry_of tiling =
-    let schedule = Core.Schedule.of_tiling tiling in
-    let certificate = Core.Certificate.build tiling in
-    Found { tiling; schedule; certificate }
-  in
-  match
-    check ();
-    match Tiling.Search.find_lattice_tiling tile with
-    | Some tiling -> entry_of tiling
-    | None ->
-      let d = Prototile.dim tile in
-      let m = Prototile.size tile in
-      let found = ref None in
-      List.iter
-        (fun f ->
-          if !found = None then
-            List.iter
-              (fun lam ->
-                if !found = None then begin
-                  check ();
-                  Tiling.Search.cover_torus ~period:lam ~prototiles:[ tile ]
-                    ~max_solutions:1 ~engine:t.search_engine ()
-                  |> List.iter (fun mt ->
-                         if !found = None then
-                           match Tiling.Multi.pieces mt with
-                           | [ pc ] -> (
-                             match
-                               Tiling.Single.make ~prototile:tile ~period:lam
-                                 ~offsets:pc.Tiling.Multi.piece_offsets
-                             with
-                             | Ok tl -> found := Some tl
-                             | Error _ -> ())
-                           | _ -> ())
-                end)
-              (Sublattice.all_of_index ~dim:d (f * m)))
-        t.torus_factors;
-      (match !found with Some tiling -> entry_of tiling | None -> Absent)
-  with
-  | entry -> Some entry
-  | exception Expired -> None
+  first (Tiling.Search.stages tile)
 
 (* Transport a cached canonical tiling back to the client's orientation.
    If [canonicalize tile] returned witness [g], the canonical cells are
@@ -293,7 +257,7 @@ let handle_batch t reqs =
   let missing = List.rev !missing in
   t.searches <- t.searches + List.length missing;
   let results =
-    Parallel.map t.pool (fun (key, canon) -> (key, search t canon)) missing
+    Parallel.map t.pool (fun (key, canon) -> (key, first_hit t canon)) missing
   in
   let by_key = Hashtbl.create 16 in
   List.iter

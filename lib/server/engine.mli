@@ -35,8 +35,9 @@
     Tile replies carry a {!Protocol.source} marker - [memory], [corpus],
     [store] or [fresh] - naming the tier that settled them.
 
-    Searches can be bounded by a wall-clock [deadline] checked between
-    search stages; an expired search answers [Deadline_exceeded] and is
+    A miss runs {!Tiling.Search.find_tiling}'s stages
+    ({!Tiling.Search.stages}) and answers its first hit.  Searches can be
+    bounded by a wall-clock [deadline] checked between those stages; an expired search answers [Deadline_exceeded] and is
     {e not} cached (a later retry may succeed), while a completed search
     that proves no tiling exists caches [No_tiling]. *)
 
@@ -51,10 +52,6 @@ val create :
   (* default 512 *)
   ?deadline:float ->
   (* seconds per search; default unbounded *)
-  ?torus_factors:int list ->
-  (* as {!Tiling.Search.find_tiling} *)
-  ?search_engine:Tiling.Search.engine ->
-  (* exact-cover kernel for torus searches; default [`Bitmask] *)
   ?pool:Parallel.pool ->
   (* default {!Parallel.default} *)
   ?store:Store.t ->

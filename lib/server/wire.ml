@@ -35,52 +35,15 @@ let op_deadline = 0x87
 let op_shutting_down = 0x88
 let op_error_r = 0x89
 
-(* ---------- crc32 (IEEE 802.3, table-driven, incremental) ----------
+(* ---------- crc32 ----------
 
    The trailer must cover spliced frames whose payload lives in the
    corpus mmap, so the accumulator works over both strings and
    bigstrings without assembling the frame first. *)
 
-(* The accumulator crosses the interface as [int32] but the hot loops
-   run on the native [int] representation: per-byte [Int32] arithmetic
-   boxes every intermediate, which is most of the protocol's CPU cost
-   at six-figure frame rates. *)
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1)
-                else !c lsr 1
-         done;
-         !c))
-
-let crc_init = Int32.minus_one
-
-let crc_in crc = Int32.to_int crc land 0xFFFFFFFF
-let crc_out c = Int32.of_int c
-
-let crc_string crc s pos len =
-  let t = Lazy.force crc_table in
-  let c = ref (crc_in crc) in
-  for i = pos to pos + len - 1 do
-    c :=
-      (!c lsr 8)
-      lxor Array.unsafe_get t
-             ((!c lxor Char.code (String.unsafe_get s i)) land 0xff)
-  done;
-  crc_out !c
-
-let crc_bigstring crc (b : bigstring) pos len =
-  let t = Lazy.force crc_table in
-  let c = ref (crc_in crc) in
-  for i = pos to pos + len - 1 do
-    c :=
-      (!c lsr 8)
-      lxor Array.unsafe_get t
-             ((!c lxor Char.code (Bigarray.Array1.unsafe_get b i)) land 0xff)
-  done;
-  crc_out !c
+let crc_init = Core.Crc32.init
+let crc_string = Core.Crc32.string
+let crc_bigstring = Core.Crc32.bigstring
 
 let crc_emit crc =
   let b = Bytes.create trailer_size in

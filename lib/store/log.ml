@@ -28,30 +28,6 @@ let magic_len = String.length magic
    corrupt length field, not a record. *)
 let max_payload = 1 lsl 24
 
-(* ---------- CRC-32 (IEEE 802.3, reflected) ---------- *)
-
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
-
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let i = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl) in
-      c := Int32.logxor table.(i) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
-
 (* ---------- payload codec ---------- *)
 
 let key_of_prototile p =
@@ -105,7 +81,7 @@ let output_frame oc payload =
   let header = Bytes.create 9 in
   Bytes.set header 0 'R';
   Bytes.set_int32_le header 1 (Int32.of_int (String.length payload));
-  Bytes.set_int32_le header 5 (crc32 payload);
+  Bytes.set_int32_le header 5 (Core.Crc32.of_string payload);
   output_bytes oc header;
   output_string oc payload
 
@@ -130,7 +106,7 @@ let scan data =
         if len < 0 || len > max_payload || !pos + 9 + len > n then stop := true
         else begin
           let payload = String.sub data (!pos + 9) len in
-          if crc32 payload <> crc then stop := true
+          if Core.Crc32.of_string payload <> crc then stop := true
           else begin
             (match decode_payload payload with
             | Ok kv -> records := kv :: !records

@@ -111,6 +111,3 @@ val close : t -> unit
 val key_of_prototile : Lattice.Prototile.t -> string
 (** The store (and server cache) key: the canonical form's cell list,
     encoded with {!Core.Codec.vecs_to_string}. *)
-
-val crc32 : string -> int32
-(** CRC-32 (IEEE, reflected) of a string; exposed for tests. *)

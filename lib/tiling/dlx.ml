@@ -8,7 +8,6 @@ type problem = {
   col : int array;  (* node -> column header index *)
   size : int array;  (* column header -> rows in the column *)
   row_of : int array;  (* node -> subset index, -1 for headers/root *)
-  row_first : int array;  (* subset index -> its first node, -1 if empty *)
   root : int;
 }
 
@@ -24,7 +23,6 @@ let create ~universe subsets =
   let col = Array.make total 0 in
   let size = Array.make (universe + 1) 0 in
   let row_of = Array.make total (-1) in
-  let row_first = Array.make (List.length subsets) (-1) in
   let root = 0 in
   (* Circular header list root <-> 1 <-> ... <-> universe. *)
   for h = 0 to universe do
@@ -60,10 +58,9 @@ let create ~universe subsets =
             right.(left.(!first)) <- node;
             left.(!first) <- node
           end)
-        subset;
-      row_first.(row) <- !first)
+        subset)
     subsets;
-  { universe; num_nodes = total; left; right; up; down; col; size; row_of; row_first; root }
+  { universe; num_nodes = total; left; right; up; down; col; size; row_of; root }
 
 let cover p c =
   p.right.(p.left.(c)) <- p.right.(c);
@@ -95,35 +92,10 @@ let uncover p c =
   p.right.(p.left.(c)) <- c;
   p.left.(p.right.(c)) <- c
 
-(* Nodes of row [r] in insertion (element) order; O(row length) via the
-   first-node index recorded at construction. *)
-let row_nodes p r =
-  let first = if r < 0 || r >= Array.length p.row_first then -1 else p.row_first.(r) in
-  if first < 0 then invalid_arg "Dlx: forced row is empty or out of range";
-  let acc = ref [ first ] in
-  let j = ref p.right.(first) in
-  while !j <> first do
-    acc := !j :: !acc;
-    j := p.right.(!j)
-  done;
-  List.rev !acc
-
-let solve ?(max_solutions = max_int) ?(keep = fun _ -> true) ?(forced = []) p =
+let solve ?(max_solutions = max_int) ?(keep = fun _ -> true) p =
   let solutions = ref [] in
   let count = ref 0 in
   let chosen = ref [] in
-  (* Pre-select the forced rows exactly as Algorithm X would after
-     choosing them: cover every column they touch.  The final link
-     structure does not depend on the cover order, so the remaining
-     search is precisely the subtree below those choices. *)
-  let forced_cols =
-    List.concat_map
-      (fun r ->
-        chosen := r :: !chosen;
-        List.map (fun node -> p.col.(node)) (row_nodes p r))
-      forced
-  in
-  List.iter (fun c -> cover p c) forced_cols;
   let rec search () =
     if !count >= max_solutions then ()
     else if p.right.(p.root) = p.root then begin
@@ -168,7 +140,6 @@ let solve ?(max_solutions = max_int) ?(keep = fun _ -> true) ?(forced = []) p =
     end
   in
   search ();
-  List.iter (fun c -> uncover p c) (List.rev forced_cols);
   List.rev !solutions
 
 let count ?(limit = max_int) p = List.length (solve ~max_solutions:limit p)

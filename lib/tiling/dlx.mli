@@ -18,12 +18,10 @@ type problem
 
 val create : universe:int -> int list list -> problem
 (** [create ~universe subsets]: subsets are lists of element ids in
-    [\[0, universe)]. Duplicate elements within a subset are invalid.
-    Each row's first node is indexed during construction, so forcing a
-    row costs O(row length), not a scan of the whole node pool. *)
+    [\[0, universe)]. Duplicate elements within a subset are invalid. *)
 
 val solve :
-  ?max_solutions:int -> ?keep:(int list -> bool) -> ?forced:int list -> problem -> int list list
+  ?max_solutions:int -> ?keep:(int list -> bool) -> problem -> int list list
 (** Solutions as lists of subset indices (in the order given to
     {!create}), each sorted ascending; at most [max_solutions] (default
     [max_int]). Deterministic order.
@@ -31,18 +29,8 @@ val solve :
     [keep] (default: accept everything) filters during the search: only
     solutions it accepts are recorded or counted against
     [max_solutions], so a filtered search stops as soon as enough
-    acceptable solutions have been enumerated.
-
-    [forced] pre-selects subsets before the search starts: their columns
-    are covered exactly as Algorithm X would after choosing them, so the
-    result is the subtree of solutions containing all of them, in the
-    order the unrestricted search would enumerate that subtree.  This is
-    the splitting primitive of the parallel engine: solving one
-    sub-problem per row of the root column and concatenating in row
-    order reproduces the sequential enumeration.  The forced subsets
-    must be pairwise disjoint and alive (not conflicting with each
-    other); the structure is restored on return, so the problem stays
-    reusable. *)
+    acceptable solutions have been enumerated.  The structure is
+    restored on return, so the problem stays reusable. *)
 
 val count : ?limit:int -> problem -> int
 (** Number of solutions, stopping at [limit] if given. *)

@@ -1,7 +1,7 @@
 open Zgeom
 open Lattice
 
-let lattice_tilings ?pool ?sched p =
+let lattice_tilings ?pool p =
   let pool = match pool with Some pl -> pl | None -> Parallel.default () in
   let d = Prototile.dim p in
   let m = Prototile.size p in
@@ -20,9 +20,8 @@ let lattice_tilings ?pool ?sched p =
   in
   (* One task per HNF diagonal family; concatenating in diagonal order is
      exactly the sequential [all_of_index] enumeration.  Families differ
-     wildly in size, so the stealing scheduler's dynamic balance is the
-     default ([?sched] falls through to {!Parallel.default_sched}). *)
-  Parallel.concat_map ?sched pool
+     wildly in size, which the stealing scheduler balances. *)
+  Parallel.concat_map pool
     (fun diag -> List.filter complete_residues (Sublattice.all_with_diagonal ~dim:d diag))
     (Sublattice.hnf_diagonals ~dim:d m)
 
@@ -78,7 +77,7 @@ type mask_state = {
    order, but only count - no per-solution allocation at all when [keep]
    is absent).  Engine runners return [(raw solutions, count)]; in
    counting mode the list stays empty. *)
-let torus_run ~period ~prototiles ~max_solutions ~engine ~keep ~pool ~sched ~collect =
+let torus_run ~period ~prototiles ~max_solutions ~engine ~keep ~pool ~collect =
   let idx = Sublattice.index period in
   let anchors = Sublattice.cosets period in
   let placements =
@@ -128,41 +127,19 @@ let torus_run ~period ~prototiles ~max_solutions ~engine ~keep ~pool ~sched ~col
     Multi.of_search_cover ~period (per_piece 0 prototiles)
   in
   (* Only solutions passing [keep] are recorded or counted against the
-     budget, in every engine and every subtree of the parallel split -
-     so filtered searches keep the same prefix/identity guarantees. *)
+     budget, in every engine and every stolen subtree - so filtered
+     searches keep the same prefix/identity guarantees. *)
   let keep_raw = match keep with None -> fun _ -> true | Some f -> fun sol -> f (to_multi sol) in
-  (* Merge of the parallel split's per-subtree [(solutions, count)]
-     results, in branch order - identical to the sequential list for any
-     pool size (each subtree enumerates in sequential order, and the
-     sequential search exhausts each subtree in turn). *)
-  let merge_parts parts =
-    if collect then begin
-      let sols = take max_solutions (List.concat (Array.to_list (Array.map fst parts))) in
-      (sols, List.length sols)
-    end
-    else ([], Array.fold_left (fun acc (_, c) -> acc + c) 0 parts)
-  in
-  (* Same merge for the stealing scheduler's output: [Steal.run] returns
-     the per-subtree chunks already sorted by canonical path key, i.e.
-     in sequential enumeration order, so concatenating and truncating is
-     again identical to the sequential list. *)
+  (* Merge of the stealing scheduler's output: [Steal.run] returns the
+     per-subtree chunks already sorted by canonical path key, i.e. in
+     sequential enumeration order, so concatenating and truncating is
+     identical to the sequential list. *)
   let merge_chunks chunks =
     if collect then begin
       let sols = take max_solutions (List.concat_map (fun (_, (s, _)) -> s) chunks) in
       (sols, List.length sols)
     end
     else ([], List.fold_left (fun acc (_, (_, c)) -> acc + c) 0 chunks)
-  in
-  (* Root-candidate task distribution for the oracle engines under
-     [`Steal]: whole root subtrees migrate between deques (no lazy
-     splitting - the oracles stay simple), which already fixes the
-     static split's worst case of one domain drawing several fat
-     subtrees. *)
-  let pmap : 'a 'b. ('a -> 'b) -> 'a array -> 'b array =
-   fun f xs ->
-    match sched with
-    | `Static -> Parallel.map_array ~sched:`Static pool f xs
-    | `Steal -> Parallel.steal_map_array pool f xs
   in
   (* Empty universe: the empty placement set is the one exact cover. *)
   let trivial_root () =
@@ -179,8 +156,7 @@ let torus_run ~period ~prototiles ~max_solutions ~engine ~keep ~pool ~sched ~col
   let free covered q = List.for_all (fun c -> not covered.(c)) placement_arr.(q).covers in
   (* Most-constrained uncovered cell and its free placements; every
      engine branches on this cell first (first strict minimum in cell
-     order), which is what lets the parallel split mirror their
-     sequential traversals. *)
+     order), so all three enumerate in the same order. *)
   let best_cell covered =
     let best = ref (-1) in
     let best_cands = ref [||] in
@@ -198,18 +174,15 @@ let torus_run ~period ~prototiles ~max_solutions ~engine ~keep ~pool ~sched ~col
     done;
     (!best, !best_cands)
   in
-  let bt_solve ~covered ~chosen0 ~budget =
+  (* The list backtracker, kept as a sequential oracle. *)
+  let bt_solve () =
+    let budget = max_solutions in
     let solutions = ref [] in
     let count = ref 0 in
-    (* [chosen.(0 .. lvl-1)] is the current branch in chronological
-       order; [chosen0] seeds the prefix for parallel subtree tasks. *)
+    let covered = Array.make idx false in
+    (* [chosen.(0 .. lvl-1)] is the current branch in chronological order. *)
     let chosen = Array.make (max 1 idx) 0 in
     let lvl = ref 0 in
-    List.iter
-      (fun q ->
-        chosen.(!lvl) <- q;
-        incr lvl)
-      chosen0;
     let rec solve () =
       if !count >= budget then ()
       else begin
@@ -247,24 +220,6 @@ let torus_run ~period ~prototiles ~max_solutions ~engine ~keep ~pool ~sched ~col
     solve ();
     (List.rev !solutions, !count)
   in
-  (* Parallel split, shared by all engines: branch on the root cell, give
-     each candidate placement its own domain-local subtree, and merge the
-     per-subtree solution lists in branch order.  Every subtree enumerates
-     in the sequential engine's order and sequential search takes a prefix
-     of each subtree in turn, so the merged, truncated list is identical
-     to the sequential result - for any pool size. *)
-  let bt_parallel () =
-    let root, cands = best_cell (Array.make idx false) in
-    if root < 0 then trivial_root ()
-    else
-      merge_parts
-        (pmap
-           (fun q ->
-             let covered = Array.make idx false in
-             List.iter (fun c -> covered.(c) <- true) placement_arr.(q).covers;
-             bt_solve ~covered ~chosen0:[ q ] ~budget:max_solutions)
-           cands)
-  in
   let rows = List.map (fun pl -> pl.covers) placements in
   let dlx_keep =
     match keep with
@@ -274,18 +229,6 @@ let torus_run ~period ~prototiles ~max_solutions ~engine ~keep ~pool ~sched ~col
   (* DLX emits placement-index lists already filtered by [dlx_keep]. *)
   let dlx_results l =
     if collect then (List.map Array.of_list l, List.length l) else ([], List.length l)
-  in
-  let dlx_parallel () =
-    let root, _ = best_cell (Array.make idx false) in
-    if root < 0 then trivial_root ()
-    else
-      (* Rows of the root column in insertion order = DLX's branch order. *)
-      merge_parts
-        (pmap
-           (fun r ->
-             let problem = Dlx.create ~universe:idx rows in
-             dlx_results (Dlx.solve ~max_solutions ?keep:dlx_keep ~forced:[ r ] problem))
-           by_cell.(root))
   in
   (* ---- [`Bitmask] engine -------------------------------------------- *)
   (* Static tables, precomputed once and shared read-only across tasks:
@@ -430,7 +373,9 @@ let torus_run ~period ~prototiles ~max_solutions ~engine ~keep ~pool ~sched ~col
       st.chosen.(st.depth) <- q;
       place st q
     in
-    let bm_solve st ~budget =
+    let bm_solve () =
+      let st = new_state () in
+      let budget = max_solutions in
       let solutions = ref [] in
       let count = ref 0 in
       let chosen = st.chosen in
@@ -663,117 +608,56 @@ let torus_run ~period ~prototiles ~max_solutions ~engine ~keep ~pool ~sched ~col
         merge_chunks (Parallel.Steal.run pool ~weights tasks)
       end
     in
-    let jobs = Parallel.jobs pool in
-    if jobs <= 1 then bm_solve (new_state ()) ~budget:max_solutions
-    else if sched = `Steal then bm_steal ()
-    else begin
-      let st0 = new_state () in
-      let root = select st0 in
-      if root < 0 then trivial_root ()
-      else if Array.length by_cell.(root) >= 2 * jobs then
-        (* One task per root candidate, merged in branch order. *)
-        merge_parts
-          (Parallel.map_array ~sched:`Static pool
-             (fun q ->
-               let st = new_state () in
-               choose st q;
-               bm_solve st ~budget:max_solutions)
-             by_cell.(root))
-      else begin
-        (* Too few root branches to occupy the pool: split two levels
-           deep.  The task list is expanded sequentially in traversal
-           order (place q; branch on the next selected cell; unplace), so
-           concatenating per-task results still reproduces the sequential
-           enumeration. *)
-        let tasks = ref [] in
-        Array.iter
-          (fun q ->
-            place st0 q;
-            let c2 = select st0 in
-            if c2 < 0 then tasks := `Leaf q :: !tasks
-            else
-              Array.iter
-                (fun r -> if Bitset.mem st0.live r then tasks := `Branch (q, r) :: !tasks)
-                by_cell.(c2);
-            unplace st0 q)
-          by_cell.(root);
-        let tasks = Array.of_list (List.rev !tasks) in
-        merge_parts
-          (Parallel.map_array ~sched:`Static pool
-             (fun task ->
-               match task with
-               | `Leaf q ->
-                 if not (keep_raw [| q |]) then ([], 0)
-                 else if collect then ([ [| q |] ], 1)
-                 else ([], 1)
-               | `Branch (q, r) ->
-                 let st = new_state () in
-                 choose st q;
-                 choose st r;
-                 bm_solve st ~budget:max_solutions)
-             tasks)
-      end
-    end
+    if Parallel.jobs pool <= 1 then bm_solve () else bm_steal ()
   in
   let raw_solutions, total =
     match engine with
     | `Bitmask -> bm_run ()
-    | `Backtracking ->
-      if Parallel.jobs pool > 1 then bt_parallel ()
-      else bt_solve ~covered:(Array.make idx false) ~chosen0:[] ~budget:max_solutions
-    | `Dlx ->
-      if Parallel.jobs pool > 1 then dlx_parallel ()
-      else dlx_results (Dlx.solve ~max_solutions ?keep:dlx_keep (Dlx.create ~universe:idx rows))
+    | `Backtracking -> bt_solve ()
+    | `Dlx -> dlx_results (Dlx.solve ~max_solutions ?keep:dlx_keep (Dlx.create ~universe:idx rows))
   in
   if collect then `Sols (List.map to_multi raw_solutions) else `Count total
 
-let cover_torus ~period ~prototiles ?(max_solutions = 64) ?(engine = `Bitmask) ?keep ?pool
-    ?sched () =
+let cover_torus ~period ~prototiles ?(max_solutions = 64) ?(engine = `Bitmask) ?keep ?pool () =
   let pool = match pool with Some pl -> pl | None -> Parallel.default () in
-  let sched = match sched with Some s -> s | None -> Parallel.default_sched () in
-  match torus_run ~period ~prototiles ~max_solutions ~engine ~keep ~pool ~sched ~collect:true with
+  match torus_run ~period ~prototiles ~max_solutions ~engine ~keep ~pool ~collect:true with
   | `Sols sols -> sols
   | `Count _ -> assert false
 
-let count_torus_covers ~period ~prototiles ?(engine = `Bitmask) ?pool ?sched () =
+let count_torus_covers ~period ~prototiles ?(engine = `Bitmask) ?pool () =
   let pool = match pool with Some pl -> pl | None -> Parallel.default () in
-  let sched = match sched with Some s -> s | None -> Parallel.default_sched () in
   match
-    torus_run ~period ~prototiles ~max_solutions:max_int ~engine ~keep:None ~pool ~sched
-      ~collect:false
+    torus_run ~period ~prototiles ~max_solutions:max_int ~engine ~keep:None ~pool ~collect:false
   with
   | `Count n -> n
   | `Sols _ -> assert false
 
 let default_factors = [ 1; 2; 3; 4 ]
 
-let torus_single_tilings ~factors p =
+(* One torus stage: the first cover of [Z^d / lam], as a single-prototile
+   tiling. *)
+let torus_stage p lam () =
+  match cover_torus ~period:lam ~prototiles:[ p ] ~max_solutions:1 () with
+  | [ mt ] -> (
+    match Multi.pieces mt with
+    | [ pc ] ->
+      Result.to_option (Single.make ~prototile:p ~period:lam ~offsets:pc.Multi.piece_offsets)
+    | _ -> None)
+  | _ -> None
+
+let stages_with ~torus_factors p =
   let d = Prototile.dim p in
   let m = Prototile.size p in
-  List.concat_map
-    (fun f ->
-      List.concat_map
-        (fun lam ->
-          cover_torus ~period:lam ~prototiles:[ p ] ~max_solutions:1 ()
-          |> List.filter_map (fun mt ->
-                 match Multi.pieces mt with
-                 | [ pc ] -> (
-                   match
-                     Single.make ~prototile:p ~period:lam ~offsets:pc.Multi.piece_offsets
-                   with
-                   | Ok t -> Some t
-                   | Error _ -> None)
-                 | _ -> None))
-        (Sublattice.all_of_index ~dim:d (f * m)))
-    factors
+  Seq.cons
+    (fun () -> find_lattice_tiling p)
+    (Seq.flat_map
+       (fun f -> Seq.map (torus_stage p) (List.to_seq (Sublattice.all_of_index ~dim:d (f * m))))
+       (List.to_seq torus_factors))
+
+let stages p = stages_with ~torus_factors:default_factors p
 
 let find_tiling ?(torus_factors = default_factors) p =
-  match find_lattice_tiling p with
-  | Some t -> Some t
-  | None -> (
-    match torus_single_tilings ~factors:torus_factors p with
-    | t :: _ -> Some t
-    | [] -> None)
+  Seq.find_map (fun stage -> stage ()) (stages_with ~torus_factors p)
 
 let find_respectable ?(torus_factors = default_factors) prototiles ?(max_solutions = 16) () =
   match prototiles with
@@ -831,10 +715,9 @@ let canonical_cover_key ~period mt =
       (cover_key ~period ~shift:u0 mt)
       us
 
-let distinct_torus_covers ~period ~prototiles ?max_classes ?(engine = `Bitmask) ?pool ?sched
-    () =
+let distinct_torus_covers ~period ~prototiles ?max_classes ?(engine = `Bitmask) ?pool () =
   let budget = match max_classes with Some k -> k | None -> max_int in
-  let covers = cover_torus ~period ~prototiles ~max_solutions:max_int ~engine ?pool ?sched () in
+  let covers = cover_torus ~period ~prototiles ~max_solutions:max_int ~engine ?pool () in
   let seen = Hashtbl.create 64 in
   let reps = ref [] in
   let kept = ref 0 in

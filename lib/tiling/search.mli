@@ -18,16 +18,14 @@
       translation sets (e.g. [{0, 2}] in [Z] tiles only with
       [T = {0,1} + 4Z]). *)
 
-val lattice_tilings :
-  ?pool:Parallel.pool -> ?sched:Parallel.sched -> Lattice.Prototile.t -> Lattice.Sublattice.t list
+val lattice_tilings : ?pool:Parallel.pool -> Lattice.Prototile.t -> Lattice.Sublattice.t list
 (** All period sublattices [Lambda] of index [|N|] with the cells pairwise
     non-congruent mod [Lambda]; each yields [Single.lattice_tiling].
 
     The HNF enumeration is partitioned by diagonal family
     ({!Lattice.Sublattice.hnf_diagonals}) and the families are checked on
-    the pool's domains (default {!Parallel.default}) under [sched]
-    (default {!Parallel.default_sched}); the result list is identical to
-    the sequential enumeration at every pool size and scheduler. *)
+    the pool's domains (default {!Parallel.default}); the result list is
+    identical to the sequential enumeration at every pool size. *)
 
 val find_lattice_tiling : Lattice.Prototile.t -> Single.t option
 
@@ -45,7 +43,10 @@ type engine = [ `Backtracking | `Bitmask | `Dlx ]
     - [`Backtracking]: the simple most-constrained-cell list
       backtracker, kept as a differential oracle.
     - [`Dlx]: Knuth's Algorithm X with dancing links ({!Dlx}), the
-      second oracle. *)
+      second oracle.
+
+    Only [`Bitmask] runs in parallel; the two oracles always run
+    sequentially, whatever the pool. *)
 
 val cover_torus :
   period:Lattice.Sublattice.t ->
@@ -54,7 +55,6 @@ val cover_torus :
   ?engine:engine ->
   ?keep:(Multi.t -> bool) ->
   ?pool:Parallel.pool ->
-  ?sched:Parallel.sched ->
   unit ->
   Multi.t list
 (** All exact covers of the quotient by translates of the prototiles
@@ -77,34 +77,26 @@ val cover_torus :
     are oracles ({!engine}).
 
     {b Determinism contract.}  With a [pool] of more than one domain
-    (default {!Parallel.default}), the search splits at the root
-    branching cell - the most constrained cell, which is also the first
-    column the sequential engines branch on - and solves one subtree per
-    candidate placement across the domains.  How subtrees reach domains
-    is [sched]'s business (default {!Parallel.default_sched}):
-
-    - [`Steal]: root subtrees are seeded over per-worker deques
-      longest-first (a live-placement-count cost model) and migrate by
-      work stealing; under [`Bitmask] a running subtree additionally
-      {e re-splits lazily} when a thief starves, giving away the untried
-      branches of its shallowest open frame.  Results commit as chunks
-      keyed by canonical subtree path and are merged in key order.
-    - [`Static]: the original fixed split (two levels deep for
-      [`Bitmask] when the root has fewer than twice [jobs] candidates),
-      merged in branch order - kept as the differential oracle.
-
-    Under both schedulers each subtree enumerates in the sequential
-    order and the merge reproduces the sequential consumption order, so
-    the returned list (contents {e and} order) is bit-identical to the
-    [jobs = 1] run at every pool size, scheduler, and interleaving; the
-    determinism matrix and the steal-schedule fuzzer enforce this. *)
+    (default {!Parallel.default}), the [`Bitmask] search splits at the
+    root branching cell - the most constrained cell, which is also the
+    first column the sequential engines branch on.  One task per
+    candidate placement is seeded over the {!Parallel.Steal} deques
+    longest-first (a live-placement-count cost model); tasks migrate by
+    work stealing, and a running subtree {e re-splits lazily} when a
+    thief starves, giving away the untried branches of its shallowest
+    open frame.  Results commit as chunks keyed by canonical subtree
+    path and are merged in key order.  Each subtree enumerates in the
+    sequential order and the merge reproduces the sequential consumption
+    order, so the returned list (contents {e and} order) is
+    bit-identical to the [jobs = 1] run at every pool size and
+    interleaving; the determinism matrix and the steal-schedule fuzzer
+    enforce this. *)
 
 val count_torus_covers :
   period:Lattice.Sublattice.t ->
   prototiles:Lattice.Prototile.t list ->
   ?engine:engine ->
   ?pool:Parallel.pool ->
-  ?sched:Parallel.sched ->
   unit ->
   int
 (** Number of exact covers of the quotient - the length of the full
@@ -122,7 +114,6 @@ val distinct_torus_covers :
   ?max_classes:int ->
   ?engine:engine ->
   ?pool:Parallel.pool ->
-  ?sched:Parallel.sched ->
   unit ->
   Multi.t list
 (** Representatives of the translation-congruence classes of {e all}
@@ -140,8 +131,8 @@ val distinct_torus_covers :
     these classes are the raw material for duty-cycle rotation
     ([Lifetime.Rotation]).  The underlying enumeration is exhaustive
     ([max_solutions = max_int]), so this is for the small periods
-    rotation actually uses; engine/pool/sched semantics (and
-    determinism) are those of {!cover_torus}. *)
+    rotation actually uses; engine/pool semantics (and determinism) are
+    those of {!cover_torus}. *)
 
 val cover_region :
   region:Zgeom.Vec.t list ->
@@ -182,11 +173,23 @@ val cover_region :
     deployment torus, and any cover found here splices back into the
     periodic schedule ([Lifetime.Repair]). *)
 
+val stages : Lattice.Prototile.t -> (unit -> Single.t option) Seq.t
+(** The search behind {!find_tiling} (default [torus_factors]), one
+    thunk per stage, in order: first the lattice stage
+    ({!find_lattice_tiling}), then one torus stage per period of index
+    [f * |N|] - for [f] in [1..4], periods in
+    {!Lattice.Sublattice.all_of_index} order - answering the first
+    single-prototile cover of that quotient.  Nothing is searched until
+    a stage is forced, so a caller may stop between stages; the daemon
+    checks its per-search deadline there. *)
+
 val find_tiling :
   ?torus_factors:int list -> Lattice.Prototile.t -> Single.t option
-(** A single-prototile periodic tiling if one is found: first among
-    lattice tilings, then among torus covers with period index
-    [f * |N|] for [f] in [torus_factors] (default [1..4]). *)
+(** The first hit of the {!stages} sequence (over [torus_factors],
+    default [1..4]): a single-prototile periodic tiling if one is found,
+    first among lattice tilings, then among torus covers with period
+    index [f * |N|] for [f] in [torus_factors].  Later stages are not
+    run once one answers. *)
 
 val exactness :
   ?torus_factors:int list ->

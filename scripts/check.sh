@@ -72,9 +72,9 @@ dune exec bin/tilesched.exe -- bench --validate "$bench_json"
 rm -f "$bench_json"
 
 # Same contract for BENCH_6.json, the EXP-P3 scheduler suite (skewed
-# instance, sequential vs static-j4 vs steal-j4).  Only the schema and
-# required rows are asserted here: the steal-vs-static separation needs
-# real cores and is read off the multi-core CI artifact instead.
+# instance, sequential vs steal-j4).  Only the schema and required rows
+# are asserted here: a speedup needs real cores and is read off the
+# multi-core CI artifact instead.
 bench6_json=/tmp/tilesched-bench6-smoke.json
 dune exec bin/tilesched.exe -- bench --skew --json "$bench6_json" --quota 0.02 > /dev/null
 dune exec bin/tilesched.exe -- bench --skew --validate "$bench6_json"

@@ -1,7 +1,6 @@
 (* Tests for the domain pool and for the determinism contract of every
-   parallel entry point: at jobs = 1, 2, 4 and 8, under both the static
-   and the work-stealing scheduler, the search engines and the
-   simulation sweep must return values structurally identical to the
+   parallel entry point: at jobs = 1, 2, 4 and 8 the search engines and
+   the simulation sweep must return values structurally identical to the
    sequential run - not just equal solution sets, the same lists in the
    same order.  The steal-schedule fuzzer additionally randomizes victim
    selection to exercise schedules round-robin stealing never takes. *)
@@ -137,18 +136,17 @@ let test_cover_torus_multi_prototile_deterministic () =
 
 let rec take n = function [] -> [] | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
 
-let scheds : (Parallel.sched * string) list = [ (`Static, "static"); (`Steal, "steal") ]
-
 let test_three_way_engine_oracle () =
   (* The strongest form of the engine contract: over a randomized corpus
-     of torus instances, all three engines under both schedulers return
-     the same ORDERED solution list, at every pool size, and truncation
-     to any [max_solutions] is a prefix of that list.  Instance
-     generation mirrors test_tiling's differential corpus (one
-     Splitmix64 stream, so a failure replays from the loop index).
-     Pools are created once per size: the matrix is
-     scheduler x engine x jobs x prefix, and per-solve domain spawning
-     would dominate it. *)
+     of torus instances, all three engines return the same ORDERED
+     solution list, the bitmask engine at every pool size, and
+     truncation to any [max_solutions] is a prefix of that list.  The
+     two oracles run sequentially whatever the pool, so they are checked
+     at jobs = 1 only.  Instance generation mirrors test_tiling's
+     differential corpus (one Splitmix64 stream, so a failure replays
+     from the loop index).  Pools are created once per size: the matrix
+     is engine x jobs x prefix, and per-solve domain spawning would
+     dominate it. *)
   let sm = Prng.Splitmix64.create 2027L in
   let draw bound =
     Int64.to_int (Int64.unsigned_rem (Prng.Splitmix64.next sm) (Int64.of_int bound))
@@ -170,13 +168,10 @@ let test_three_way_engine_oracle () =
           (poly () :: (if draw 2 = 0 then [ poly () ] else []))
           @ [ Prototile.of_cells [ Zgeom.Vec.zero 2 ] ]
         in
-        let solve ~engine ~sched ~pool ~max_solutions =
-          Tiling.Search.cover_torus ~period ~prototiles ~max_solutions ~engine ~sched ~pool ()
+        let solve ~engine ~pool ~max_solutions =
+          Tiling.Search.cover_torus ~period ~prototiles ~max_solutions ~engine ~pool ()
         in
-        let reference =
-          solve ~engine:`Bitmask ~sched:`Static ~pool:(List.assoc 1 pools)
-            ~max_solutions:100_000
-        in
+        let reference = solve ~engine:`Bitmask ~pool:(List.assoc 1 pools) ~max_solutions:100_000 in
         let len = List.length reference in
         (* Every short prefix, then a sparse ladder up to and past the
            full enumeration - the budget must bite correctly at every
@@ -187,26 +182,23 @@ let test_three_way_engine_oracle () =
         in
         List.iter
           (fun (engine, ename) ->
+            let engine_pools = if engine = `Bitmask then pools else [ List.hd pools ] in
             List.iter
-              (fun (sched, sname) ->
+              (fun (jobs, pool) ->
+                let full = solve ~engine ~pool ~max_solutions:100_000 in
+                Alcotest.(check bool)
+                  (Printf.sprintf "instance %d: %s jobs=%d = reference" instance ename jobs)
+                  true (full = reference);
                 List.iter
-                  (fun (jobs, pool) ->
-                    let full = solve ~engine ~sched ~pool ~max_solutions:100_000 in
+                  (fun m ->
+                    let truncated = solve ~engine ~pool ~max_solutions:m in
                     Alcotest.(check bool)
-                      (Printf.sprintf "instance %d: %s/%s jobs=%d = reference" instance ename
-                         sname jobs)
-                      true (full = reference);
-                    List.iter
-                      (fun m ->
-                        let truncated = solve ~engine ~sched ~pool ~max_solutions:m in
-                        Alcotest.(check bool)
-                          (Printf.sprintf "instance %d: %s/%s jobs=%d max=%d is a prefix"
-                             instance ename sname jobs m)
-                          true
-                          (truncated = take m reference))
-                      prefixes)
-                  pools)
-              scheds)
+                      (Printf.sprintf "instance %d: %s jobs=%d max=%d is a prefix" instance
+                         ename jobs m)
+                      true
+                      (truncated = take m reference))
+                  prefixes)
+              engine_pools)
           engines
       done)
 
@@ -316,7 +308,7 @@ let test_steal_schedule_fuzzer () =
 
 let test_skew_instance () =
   (* The benchmark's skewed instance really is skewed - one root branch
-     owns at least 90% of the covers - and both schedulers agree with
+     owns at least 90% of the covers - and the parallel runs agree with
      the sequential count and enumeration on it. *)
   let n = 20 in
   let share = Microbench.skew_root_share ~n in
@@ -331,22 +323,18 @@ let test_skew_instance () =
   in
   Alcotest.(check int) "cover count is 1 + n^2" expected (List.length reference);
   List.iter
-    (fun (sched, sname) ->
-      List.iter
-        (fun jobs ->
-          Parallel.with_pool ~jobs (fun pool ->
-              Alcotest.(check int)
-                (Printf.sprintf "count %s jobs=%d" sname jobs)
-                expected
-                (Tiling.Search.count_torus_covers ~period ~prototiles ~pool ~sched ());
-              Alcotest.(check bool)
-                (Printf.sprintf "enumeration %s jobs=%d identical" sname jobs)
-                true
-                (Tiling.Search.cover_torus ~period ~prototiles ~max_solutions:max_int ~pool
-                   ~sched ()
-                = reference)))
-        [ 2; 4 ])
-    scheds
+    (fun jobs ->
+      Parallel.with_pool ~jobs (fun pool ->
+          Alcotest.(check int)
+            (Printf.sprintf "count jobs=%d" jobs)
+            expected
+            (Tiling.Search.count_torus_covers ~period ~prototiles ~pool ());
+          Alcotest.(check bool)
+            (Printf.sprintf "enumeration jobs=%d identical" jobs)
+            true
+            (Tiling.Search.cover_torus ~period ~prototiles ~max_solutions:max_int ~pool ()
+            = reference)))
+    [ 2; 4 ]
 
 let test_chromatic_number_deterministic () =
   (* Random graphs of varying density; the parallel k-colorability

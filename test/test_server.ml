@@ -163,6 +163,40 @@ let test_deadline_zero () =
   Alcotest.(check int) "timeout counted" 1 s.Protocol.timeouts;
   Alcotest.(check int) "timeouts are not cached" 0 s.Protocol.cache_entries
 
+(* A fresh miss runs exactly [Tiling.Search.find_tiling]: on canonical
+   tiles (so no transport is involved) an engine with no corpus and no
+   store answers [src=fresh] with the very tiling the library search
+   returns, or [No_tiling] when it returns none. *)
+let test_fresh_search_is_find_tiling () =
+  let rng = Prng.Xoshiro.create 14L in
+  let random = List.init 24 (fun i -> Randomtile.polyomino rng ~cells:(1 + (i mod 7))) in
+  let cells l = Prototile.of_cells (List.map (fun (x, y) -> v2 x y) l) in
+  let fixed =
+    [ cells [ (0, 0); (2, 0) ];
+      cells [ (0, 0); (2, 0); (0, 2); (2, 2) ];
+      (* The F pentomino: no Beauquier-Nivat factorization, no tiling. *)
+      cells [ (0, 0); (1, 0); (-1, 1); (0, 1); (0, 2) ] ]
+  in
+  let key t =
+    ( Lattice.Sublattice.generators (Tiling.Single.period t),
+      Tiling.Single.offsets t,
+      Prototile.cells (Tiling.Single.prototile t) )
+  in
+  List.iter
+    (fun tile ->
+      let tile = Symmetry.canonical tile in
+      let name = Prototile.to_string tile in
+      let reply = Engine.handle (Engine.create ()) (Protocol.Tile_search tile) in
+      match (reply, Tiling.Search.find_tiling tile) with
+      | Protocol.Tiling_r { tiling; source = Some Protocol.Fresh; _ }, Some expected ->
+        Alcotest.(check bool)
+          (name ^ ": same tiling as find_tiling")
+          true
+          (key tiling = key expected)
+      | Protocol.No_tiling (Some Protocol.Fresh), None -> ()
+      | _ -> Alcotest.failf "%s: reply disagrees with find_tiling" name)
+    (fixed @ random)
+
 let test_no_tiling_cached () =
   (* {0,1,3} in Z has no tiling with period <= 4*3: every difference is
      forbidden mod 6, and the mod-9/mod-12 cases die by the same residue
@@ -408,6 +442,7 @@ let () =
           Alcotest.test_case "backpressure beyond queue bound" `Quick test_backpressure;
           Alcotest.test_case "deadline 0 answers Deadline_exceeded" `Quick
             test_deadline_zero;
+          Alcotest.test_case "fresh search = find_tiling" `Quick test_fresh_search_is_find_tiling;
           Alcotest.test_case "no-tiling results are cached" `Slow test_no_tiling_cached;
           Alcotest.test_case "pos dimension mismatch" `Quick test_pos_dim_mismatch;
         ] );

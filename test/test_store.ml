@@ -59,7 +59,11 @@ let test_enumerate_canonical_reps () =
 
 let test_crc32_vector () =
   (* The classic IEEE 802.3 check value. *)
-  Alcotest.(check int32) "crc32(123456789)" 0xCBF43926l (Store.crc32 "123456789")
+  Alcotest.(check int32) "crc32(123456789)" 0xCBF43926l (Core.Crc32.of_string "123456789");
+  (* The wire trailer is the same checksum, accumulated then emitted
+     little-endian. *)
+  Alcotest.(check string) "wire trailer of 123456789" "\x26\x39\xf4\xcb"
+    (Server.Wire.crc_emit (Server.Wire.crc_string Server.Wire.crc_init "123456789" 0 9))
 
 let test_roundtrip_supersede_compact () =
   with_temp_store (fun path ->

@@ -582,6 +582,57 @@ let qcheck_sparse_exactness_robust =
       | None -> true
       | Some t -> Tiling.Single.check_window t ~radius:5)
 
+(* [find_tiling] stops at the first stage that answers.  The eager
+   reference runs every stage - all lattice tilings, then the first
+   single-prototile cover of every torus of index [f * |N|] - and takes
+   the head of the whole list. *)
+let eager_find_tiling p =
+  let lattice =
+    List.filter_map
+      (fun lam -> Result.to_option (Tiling.Single.lattice_tiling p lam))
+      (Tiling.Search.lattice_tilings p)
+  in
+  let torus_first lam =
+    List.filter_map
+      (fun mt ->
+        match Tiling.Multi.pieces mt with
+        | [ pc ] ->
+          Result.to_option
+            (Tiling.Single.make ~prototile:p ~period:lam ~offsets:pc.Tiling.Multi.piece_offsets)
+        | _ -> None)
+      (Tiling.Search.cover_torus ~period:lam ~prototiles:[ p ] ~max_solutions:1 ())
+  in
+  let torus =
+    List.concat_map
+      (fun f ->
+        List.concat_map torus_first
+          (Sublattice.all_of_index ~dim:(Prototile.dim p) (f * Prototile.size p)))
+      [ 1; 2; 3; 4 ]
+  in
+  match lattice @ torus with [] -> None | t :: _ -> Some t
+
+let test_find_tiling_is_head_of_enumeration () =
+  let rng = Prng.Xoshiro.create 2028L in
+  let polys = List.init 28 (fun i -> Randomtile.polyomino rng ~cells:(1 + (i mod 7))) in
+  let sparse = List.init 12 (fun i -> Randomtile.sparse rng ~cells:(2 + (i mod 3)) ~spread:2) in
+  let cells l = Prototile.of_cells (List.map (fun (x, y) -> Vec.make2 x y) l) in
+  let fixed =
+    [ cells [ (0, 0); (2, 0) ];
+      cells [ (0, 0); (2, 0); (0, 2); (2, 2) ];
+      cells [ (0, 0); (1, 0); (-1, 1); (0, 1); (0, 2) ] ]
+  in
+  let key =
+    Option.map (fun t ->
+        (Sublattice.generators (Tiling.Single.period t), Tiling.Single.offsets t))
+  in
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        (Prototile.to_string p ^ ": find_tiling = head of the eager enumeration")
+        true
+        (key (Tiling.Search.find_tiling p) = key (eager_find_tiling p)))
+    (fixed @ polys @ sparse)
+
 let qc = QCheck_alcotest.to_alcotest
 
 let () =
@@ -625,6 +676,8 @@ let () =
           Alcotest.test_case "chebyshev balls tile" `Quick test_find_tiling_balls;
           Alcotest.test_case "euclidean ball tiles" `Quick test_euclidean_ball_tiles;
           Alcotest.test_case "exactness decisions" `Quick test_exactness_decisions;
+          Alcotest.test_case "find_tiling = head of enumeration" `Quick
+            test_find_tiling_is_head_of_enumeration;
           Alcotest.test_case "3-D box tiles" `Quick test_3d_box_tiles;
           Alcotest.test_case "torus cover counts" `Quick test_cover_torus_counts;
           Alcotest.test_case "torus cover max" `Quick test_cover_torus_respects_max;
