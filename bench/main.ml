@@ -763,20 +763,12 @@ let engine_shootout () =
 (* ------------------------------------------------------------------ *)
 
 let micro_benchmarks () =
-  section "BENCH" "Bechamel micro-benchmarks (ns per call, OLS estimate)";
-  let rows = Microbench.run () in
-  Printf.printf "%-42s %16s\n" "benchmark" "ns/call";
+  section "BENCH" "Bechamel micro-benchmarks (the core suite; artifact: tilesched bench --json)";
+  let core = Option.get (Microbench.find_suite "core") in
   List.iter
-    (fun r -> Printf.printf "%-42s %16.1f\n" r.Microbench.name r.Microbench.ns_per_call)
-    rows;
-  let json = Microbench.to_json rows in
-  (match Microbench.validate_json json with
-  | Ok _ -> ()
-  | Error msg -> failwith ("BENCH_5.json failed self-validation: " ^ msg));
-  let oc = open_out "BENCH_5.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "\n[wrote BENCH_5.json: %d rows, schema-validated]\n" (List.length rows)
+    (fun (r : Microbench.row) ->
+      Printf.printf "%-42s %16.1f %s\n" r.name r.value (Microbench.unit_to_string r.unit))
+    (core.run ~quota:0.5 ~exe:Sys.executable_name)
 
 let () =
   print_endline "tilesched experiment harness - reproduces every figure of";

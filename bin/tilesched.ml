@@ -488,13 +488,7 @@ let serve_cmd =
       | Some path ->
         Printf.eprintf "tilesched serve: listening on %s\n%!" path;
         Server.Frontend.serve_unix ~idle_timeout engine ~path);
-      Option.iter
-        (fun store ->
-          let flushed = Server.flush_to_store engine in
-          if flushed > 0 then
-            Printf.eprintf "tilesched serve: flushed %d cache entries to store\n%!" flushed;
-          Store.close store)
-        store;
+      Option.iter Store.close store;
       Ok ()
     end
   in
@@ -1070,12 +1064,27 @@ let lifetime_cmd =
        $ policy_arg $ battery_arg $ seed_arg))
 
 let bench_cmd =
+  let suite_arg =
+    Arg.(
+      value
+      & pos 0
+          (some (enum (List.map (fun (s : Microbench.suite) -> (s.name, s)) Microbench.suites)))
+          None
+      & info [] ~docv:"SUITE"
+          ~doc:
+            ("The suite to run (default core): "
+            ^ String.concat "; "
+                (List.map
+                   (fun (s : Microbench.suite) -> Printf.sprintf "$(b,%s): %s" s.name s.doc)
+                   Microbench.suites)
+            ^ "."))
+  in
   let json_arg =
     Arg.(
       value
       & opt (some string) None
       & info [ "json" ] ~docv:"PATH"
-          ~doc:"Write the results as a JSON array of {name, ns_per_call} rows to PATH.")
+          ~doc:"Write the results as a JSON artifact {suite, rows: [{name, value, unit}]} to PATH.")
   in
   let validate_arg =
     Arg.(
@@ -1083,8 +1092,8 @@ let bench_cmd =
       & opt (some file) None
       & info [ "validate" ] ~docv:"PATH"
           ~doc:
-            "Do not benchmark; instead schema-check an existing JSON artifact at PATH (as CI does \
-             with BENCH_5.json) and exit.")
+            "Do not benchmark; instead check the artifact at PATH against the suite it names \
+             (schema, required rows and units, gates) and exit.")
   in
   let quota_arg =
     Arg.(
@@ -1092,108 +1101,44 @@ let bench_cmd =
       & info [ "quota" ] ~docv:"SECS"
           ~doc:"Bechamel time budget per benchmark, in seconds. Small values make a fast smoke run.")
   in
-  let skew_arg =
-    Arg.(
-      value & flag
-      & info [ "skew" ]
-          ~doc:
-            "Run (or validate) the EXP-P3 scheduler suite instead: the adversarial skewed \
-             instance counted sequentially and at jobs=4, emitted as BENCH_6.json.")
-  in
-  let lifetime_arg =
-    Arg.(
-      value & flag
-      & info [ "lifetime" ]
-          ~doc:
-            "Run (or validate) the EXP-L1 lifetime suite instead: static vs rotating \
-             first-battery-death slots and the repair-solver timings, emitted as BENCH_7.json.")
-  in
-  let corpus_arg =
-    Arg.(
-      value & flag
-      & info [ "corpus" ]
-          ~doc:
-            "Run (or validate) the EXP-CORPUS corpus suite instead: mmap-snapshot vs store lookup \
-             latency, warm and cold-start, emitted as BENCH_8.json.")
-  in
-  let server_arg =
-    Arg.(
-      value & flag
-      & info [ "server" ]
-          ~doc:
-            "Run (or validate) the EXP-SRV2 wire-protocol suite instead: spawn a daemon over a \
-             fresh corpus, compare closed-loop text vs binary warm tile-search throughput, and \
-             drive a 10k-connection open-loop run for latency percentiles, emitted as \
-             BENCH_10.json.")
-  in
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let run () json validate quota skew lifetime corpus server =
-    if
-      (if skew then 1 else 0) + (if lifetime then 1 else 0) + (if corpus then 1 else 0)
-      + (if server then 1 else 0)
-      > 1
-    then Error (`Msg "--skew, --lifetime, --corpus and --server are mutually exclusive")
-    else
-    let required =
-      if lifetime then Microbench.required_lifetime
-      else if skew then Microbench.required_skew
-      else if corpus then Microbench.required_corpus
-      else if server then Microbench.required_server
-      else Microbench.required
-    in
-    match validate with
-    | Some path -> (
-      match Microbench.validate_json ~required (read_file path) with
-      | Ok rows ->
-        Printf.printf "%s: %d rows, schema ok\n" path (List.length rows);
+  let run () suite json validate quota =
+    match (validate, suite) with
+    | Some _, Some _ -> Error (`Msg "--validate reads the suite from the artifact; drop SUITE")
+    | Some path, None -> (
+      match Microbench.validate_json (In_channel.with_open_bin path In_channel.input_all) with
+      | Ok (suite, rows) ->
+        Printf.printf "%s: suite %s, %d rows, schema and gates ok\n" path suite.name
+          (List.length rows);
         Ok ()
       | Error msg -> Error (`Msg (Printf.sprintf "%s: %s" path msg)))
-    | None ->
+    | None, suite ->
       if quota <= 0.0 then Error (`Msg "quota must be positive")
       else begin
-        let rows =
-          if lifetime then Microbench.run_lifetime ~quota ()
-          else if skew then Microbench.run_skew ~quota ()
-          else if corpus then Microbench.run_corpus ~quota ()
-          else if server then Microbench.run_server ~quota ~exe:Sys.executable_name ()
-          else Microbench.run ~quota ()
-        in
-        Printf.printf "%-42s %16s\n" "benchmark" "ns/call";
+        let suite = Option.value suite ~default:(List.hd Microbench.suites) in
+        let rows = suite.run ~quota ~exe:Sys.executable_name in
+        Printf.printf "%-42s %16s %s\n" "benchmark" "value" "unit";
         List.iter
-          (fun r -> Printf.printf "%-42s %16.1f\n" r.Microbench.name r.Microbench.ns_per_call)
+          (fun (r : Microbench.row) ->
+            Printf.printf "%-42s %16.1f %s\n" r.name r.value (Microbench.unit_to_string r.unit))
           rows;
         match json with
         | None -> Ok ()
         | Some path -> (
-          let out = Microbench.to_json rows in
-          match Microbench.validate_json ~required out with
+          let out = Microbench.to_json suite rows in
+          match Microbench.validate_json out with
           | Error msg -> Error (`Msg ("refusing to write invalid artifact: " ^ msg))
           | Ok _ ->
-            let oc = open_out path in
-            output_string oc out;
-            close_out oc;
-            Printf.printf "\n[wrote %s: %d rows, schema-validated]\n" path (List.length rows);
+            Out_channel.with_open_bin path (fun oc -> output_string oc out);
+            Printf.printf "\n[wrote %s: %d rows, validated]\n" path (List.length rows);
             Ok ())
       end
   in
   Cmd.v
     (Cmd.info "bench"
        ~doc:
-         "Run the Bechamel micro-benchmark suite (including the three torus exact-cover engines) \
-          and optionally emit or validate the machine-readable BENCH_5.json artifact; with \
-          $(b,--skew), the EXP-P3 scheduler suite and BENCH_6.json instead; with \
-          $(b,--lifetime), the EXP-L1 rotation/repair suite and BENCH_7.json; with \
-          $(b,--corpus), the EXP-CORPUS mmap-vs-store lookup suite and BENCH_8.json; with \
-          $(b,--server), the EXP-SRV2 wire-protocol suite and BENCH_10.json.")
-    Term.(
-      term_result
-        (const run $ jobs_term $ json_arg $ validate_arg $ quota_arg $ skew_arg $ lifetime_arg
-       $ corpus_arg $ server_arg))
+         "Run one benchmark suite and optionally write its JSON artifact, or validate an \
+          artifact (the committed BENCH_*.json files) against the suite it names.")
+    Term.(term_result (const run $ jobs_term $ suite_arg $ json_arg $ validate_arg $ quota_arg))
 
 let () =
   let doc = "Collision-free sensor scheduling by lattice tilings (Klappenecker-Lee-Welch 2008)" in

@@ -1,6 +1,27 @@
 open Lattice
 
-type row = { name : string; ns_per_call : float }
+type unit_ = Ns | Us | Per_s | Ratio | Slots | Count
+
+let unit_names =
+  [ (Ns, "ns"); (Us, "us"); (Per_s, "1/s"); (Ratio, "ratio"); (Slots, "slots"); (Count, "count") ]
+
+let unit_to_string u = List.assoc u unit_names
+
+type row = { name : string; value : float; unit : unit_ }
+
+type cmp = Le | Ge | Eq
+
+type bound = Row of string | Const of float
+
+type gate = { row : string; cmp : cmp; bound : bound }
+
+type suite = {
+  name : string;
+  doc : string;
+  required : (string * unit_) list;
+  gates : gate list;
+  run : quota:float -> exe:string -> row list;
+}
 
 let staircase k =
   (* Exact staircase polyomino with ~4k+2 boundary letters. *)
@@ -50,18 +71,6 @@ let skew_root_share ~n =
   in
   float fat /. float total
 
-let required =
-  [
-    "torus-all-backtracking";
-    "torus-all-dlx";
-    "torus-all-bitmask";
-    "torus-mat-backtracking";
-    "torus-mat-dlx";
-    "torus-mat-bitmask";
-  ]
-
-let required_skew = [ "skew-seq-j1"; "skew-steal-j4" ]
-
 let run_tests ~quota tests =
   let open Bechamel in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) () in
@@ -74,12 +83,14 @@ let run_tests ~quota tests =
   List.filter_map
     (fun (name, v) ->
       match Analyze.OLS.estimates v with
-      | Some (est :: _) -> Some { name; ns_per_call = est }
+      | Some (est :: _) -> Some { name; value = est; unit = Ns }
       | _ -> None)
     rows
 
-let run_skew ?(quota = 0.5) () =
-  if quota <= 0.0 then invalid_arg "Microbench.run_skew: quota must be positive";
+(* The EXP-P3 scheduler benchmark: {!Tiling.Search.count_torus_covers}
+   on [skew_instance ~n:28] at jobs = 1 and jobs = 4.  A single-core
+   host shows no speedup, so the suite declares no gate. *)
+let run_skew ~quota ~exe:_ =
   let open Bechamel in
   (* n = 28: 785 covers, 93% of them under the single monomino-at-zero
      root branch (EXP-P3), at a sequential count cost small enough for
@@ -100,8 +111,6 @@ let run_skew ?(quota = 0.5) () =
       Parallel.shutdown pool1;
       Parallel.shutdown pool4)
     (fun () -> run_tests ~quota tests)
-
-let required_lifetime = [ "lifetime-static"; "lifetime-rotate"; "repair-solve" ]
 
 (* The EXP-L1 instance: I-tetromino rows on an 8x8 grid, leaders paying a
    +1.0/slot surcharge against a 30-unit battery.  Deterministic, so the
@@ -139,8 +148,14 @@ let lifetime_first_death rot =
   | Some t -> float_of_int t
   | None -> float_of_int duration
 
-let run_lifetime ?(quota = 0.5) () =
-  if quota <= 0.0 then invalid_arg "Microbench.run_lifetime: quota must be positive";
+(* The lifetime suite (EXP-L1).  The [lifetime-*-first-death-slots]
+   rows are exact slot counts of the first battery death under the
+   static schedule vs a balanced 4-cover least-depleted rotation (their
+   ratio is the lifetime-extension factor; the quota does not apply to
+   them); the [repair-solve-*] rows time {!Lifetime.Repair.repair} on
+   the minimal wrapped-row window (I-tet, 8 cells) and on a
+   one-ring-grown window (S-tet, 56 cells). *)
+let run_lifetime ~quota ~exe:_ =
   let open Bechamel in
   let static = lifetime_instance ~classes:1 ~epochs:1 ~policy:Lifetime.Rotation.Round_robin in
   let rotate =
@@ -148,8 +163,10 @@ let run_lifetime ?(quota = 0.5) () =
   in
   let slot_rows =
     [
-      { name = "lifetime-static-first-death-slots"; ns_per_call = lifetime_first_death static };
-      { name = "lifetime-rotate-4-first-death-slots"; ns_per_call = lifetime_first_death rotate };
+      { name = "lifetime-static-first-death-slots"; value = lifetime_first_death static;
+        unit = Slots };
+      { name = "lifetime-rotate-4-first-death-slots"; value = lifetime_first_death rotate;
+        unit = Slots };
     ]
   in
   let deployment = Sublattice.of_basis [| [| 8; 0 |]; [| 0; 8 |] |] in
@@ -173,14 +190,6 @@ let run_lifetime ?(quota = 0.5) () =
   in
   List.sort Stdlib.compare (run_tests ~quota tests @ slot_rows)
 
-let required_corpus =
-  [
-    "corpus-mmap-find-warm";
-    "corpus-store-find-warm";
-    "corpus-mmap-coldstart-find";
-    "corpus-store-coldstart-find";
-  ]
-
 (* The EXP-CORPUS instance: the full n <= 7 corpus (164 canonical classes)
    built fresh in a temp directory, next to a certificate store holding
    the same verdicts (written straight from the BN decisions, no
@@ -197,8 +206,7 @@ let rm_rf dir =
     Unix.rmdir dir
   end
 
-let run_corpus ?(quota = 0.5) () =
-  if quota <= 0.0 then invalid_arg "Microbench.run_corpus: quota must be positive";
+let run_corpus ~quota ~exe:_ =
   let open Bechamel in
   let root =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -265,17 +273,6 @@ let run_corpus ?(quota = 0.5) () =
       Store.close store;
       rows)
 
-let required_server =
-  [
-    "server-text-warm-rps";
-    "server-binary-warm-rps";
-    "server-binary-vs-text-speedup";
-    "server-open-10k-p50-us";
-    "server-open-10k-p95-us";
-    "server-open-10k-p99-us";
-    "server-open-10k-dropped";
-  ]
-
 (* Every tile has area <= 5, so each canonical class is resident in the
    n <= 5 corpus the suite builds: every tile-search is a warm mmap
    hit, the workload the zero-copy splice path exists for.  The tiles
@@ -298,8 +295,14 @@ let server_small_tiles =
       ("pent-I", Prototile.pentomino `I);
       ("pent-X", Prototile.pentomino `X) ]
 
-let run_server ?(quota = 0.5) ~exe () =
-  if quota <= 0.0 then invalid_arg "Microbench.run_server: quota must be positive";
+(* The wire-protocol suite (EXP-SRV2): closed-loop warm tile-search
+   throughput under each dialect and their ratio, then the per-request
+   latency percentiles and the undecodable-reply count of a
+   10,000-connection binary open-loop run.  The closed-loop request
+   count scales with [quota] ([quota * 10_000], at least 1000); the
+   open-loop run is fixed-size.  The spawned daemon is shut down at the
+   end, and killed if anything raises first. *)
+let run_server ~quota ~exe =
   let root =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "tilesched-server-bench-%d" (Unix.getpid ()))
@@ -316,13 +319,15 @@ let run_server ?(quota = 0.5) ~exe () =
       (match Corpus.Campaign.run ~dir:corpus_dir ~max_n:5 () with
       | Ok _ -> ()
       | Error e -> invalid_arg ("Microbench.run_server: " ^ e));
-      let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
       let pid =
-        Unix.create_process exe
-          [| exe; "serve"; "-s"; sock; "--corpus"; corpus_dir; "--cache"; "1024" |]
-          null null Unix.stderr
+        let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+        Fun.protect
+          ~finally:(fun () -> Unix.close null)
+          (fun () ->
+            Unix.create_process exe
+              [| exe; "serve"; "-s"; sock; "--corpus"; corpus_dir; "--cache"; "1024" |]
+              null null Unix.stderr)
       in
-      Unix.close null;
       (* The socket file appearing means bind has happened; a successful
          probe connect means listen has too. *)
       let rec await n =
@@ -398,23 +403,27 @@ let run_server ?(quota = 0.5) ~exe () =
           let lat = open_r.Server.Loadgen.latency in
           List.sort Stdlib.compare
             [
-              { name = "server-text-warm-rps"; ns_per_call = text.Server.Loadgen.throughput };
-              { name = "server-binary-warm-rps";
-                ns_per_call = binary.Server.Loadgen.throughput };
+              { name = "server-text-warm-rps"; value = text.Server.Loadgen.throughput;
+                unit = Per_s };
+              { name = "server-binary-warm-rps"; value = binary.Server.Loadgen.throughput;
+                unit = Per_s };
               { name = "server-binary-vs-text-speedup";
-                ns_per_call =
+                value =
                   (if text.Server.Loadgen.throughput > 0.0 then
                      binary.Server.Loadgen.throughput /. text.Server.Loadgen.throughput
-                   else 0.0) };
-              { name = "server-open-10k-p50-us"; ns_per_call = lat.Netsim.Stats.p50_latency };
-              { name = "server-open-10k-p95-us"; ns_per_call = lat.Netsim.Stats.p95_latency };
-              { name = "server-open-10k-p99-us"; ns_per_call = lat.Netsim.Stats.p99_latency };
+                   else 0.0);
+                unit = Ratio };
+              { name = "server-open-10k-p50-us"; value = lat.Netsim.Stats.p50_latency;
+                unit = Us };
+              { name = "server-open-10k-p95-us"; value = lat.Netsim.Stats.p95_latency;
+                unit = Us };
+              { name = "server-open-10k-p99-us"; value = lat.Netsim.Stats.p99_latency;
+                unit = Us };
               { name = "server-open-10k-dropped";
-                ns_per_call = float_of_int open_r.Server.Loadgen.dropped };
+                value = float_of_int open_r.Server.Loadgen.dropped; unit = Count };
             ]))
 
-let run ?(quota = 0.5) () =
-  if quota <= 0.0 then invalid_arg "Microbench.run: quota must be positive";
+let run_core ~quota ~exe:_ =
   let open Bechamel in
   let cheb2 = Prototile.chebyshev_ball ~dim:2 2 in
   let cheb2_tiling = Option.get (Tiling.Search.find_tiling cheb2) in
@@ -486,6 +495,127 @@ let run ?(quota = 0.5) () =
   in
   run_tests ~quota tests
 
+
+(* ------------------------------------------------------------------ *)
+(* Suite registry                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let ns names = List.map (fun n -> (n, Ns)) names
+
+let suites =
+  [
+    { name = "core";
+      doc =
+        "Core machinery, one workload per hot subsystem, including the three torus \
+         exact-cover engines on the EXP-P2 workload";
+      required =
+        ns
+          [ "torus-all-backtracking"; "torus-all-dlx"; "torus-all-bitmask";
+            "torus-mat-backtracking"; "torus-mat-dlx"; "torus-mat-bitmask" ];
+      gates = [];
+      run = run_core };
+    { name = "skew";
+      doc = "EXP-P3: the adversarial skewed instance counted sequentially and at jobs=4";
+      required = ns [ "skew-seq-j1"; "skew-steal-j4" ];
+      gates = [];
+      run = run_skew };
+    { name = "lifetime";
+      doc =
+        "EXP-L1: static vs rotating first-battery-death slots and the repair-solver \
+         timings (committed as BENCH_7.json)";
+      required =
+        [ ("lifetime-static-first-death-slots", Slots);
+          ("lifetime-rotate-4-first-death-slots", Slots);
+          ("repair-solve-itet-row8", Ns);
+          ("repair-solve-stet-ring1", Ns) ];
+      gates = [];
+      run = run_lifetime };
+    { name = "corpus";
+      doc =
+        "EXP-CORPUS: mmap-snapshot vs store lookup latency, warm and cold-start \
+         (committed as BENCH_8.json)";
+      required =
+        ns
+          [ "corpus-mmap-find-warm"; "corpus-store-find-warm"; "corpus-mmap-coldstart-find";
+            "corpus-store-coldstart-find" ];
+      (* Warm lookups are a hashtable-vs-binary-search race the store can
+         win; the cold-start gap is the snapshot tier's reason to exist. *)
+      gates =
+        [ { row = "corpus-mmap-coldstart-find"; cmp = Le;
+            bound = Row "corpus-store-coldstart-find" } ];
+      run = run_corpus };
+    { name = "server";
+      doc =
+        "EXP-SRV2: text vs binary warm tile-search throughput through a spawned daemon and a \
+         10k-connection open-loop run (committed as BENCH_10.json)";
+      required =
+        [ ("server-text-warm-rps", Per_s);
+          ("server-binary-warm-rps", Per_s);
+          ("server-binary-vs-text-speedup", Ratio);
+          ("server-open-10k-p50-us", Us);
+          ("server-open-10k-p95-us", Us);
+          ("server-open-10k-p99-us", Us);
+          ("server-open-10k-dropped", Count) ];
+      gates =
+        [ { row = "server-binary-vs-text-speedup"; cmp = Ge; bound = Const 5.0 };
+          { row = "server-open-10k-dropped"; cmp = Eq; bound = Const 0.0 } ];
+      run = run_server };
+  ]
+
+let find_suite name = List.find_opt (fun (s : suite) -> s.name = name) suites
+
+(* Bechamel prefixes grouped test names ("corpus/corpus-mmap-find-warm");
+   a declared name matches the row with or without that group. *)
+let row_matches key (r : row) =
+  let n = String.length r.name and k = String.length key in
+  r.name = key || (n > k && String.sub r.name (n - k - 1) (k + 1) = "/" ^ key)
+
+let find_row rows key = List.find_opt (row_matches key) rows
+
+(* The shortest decimal that reads back as the same float, so an
+   artifact round-trips exactly. *)
+let number v =
+  let rec go p =
+    let s = Printf.sprintf "%.*g" p v in
+    if p >= 17 || float_of_string s = v then s else go (p + 1)
+  in
+  go 15
+
+let gate_to_string g =
+  Printf.sprintf "%s %s %s" g.row
+    (match g.cmp with Le -> "<=" | Ge -> ">=" | Eq -> "==")
+    (match g.bound with Row r -> r | Const c -> number c)
+
+let check (suite : suite) rows =
+  let problems = ref [] in
+  let problem msg = problems := msg :: !problems in
+  let missing = List.filter (fun (k, _) -> find_row rows k = None) suite.required in
+  if missing <> [] then
+    problem ("missing required benchmark rows: " ^ String.concat ", " (List.map fst missing));
+  List.iter
+    (fun (k, u) ->
+      match find_row rows k with
+      | Some r when r.unit <> u ->
+        problem
+          (Printf.sprintf "row %s has unit %s, expected %s" r.name (unit_to_string r.unit)
+             (unit_to_string u))
+      | _ -> ())
+    suite.required;
+  (* Gate rows are required rows, so a missing one is reported above. *)
+  List.iter
+    (fun g ->
+      let value key = Option.map (fun r -> r.value) (find_row rows key) in
+      let rhs = match g.bound with Row r -> value r | Const c -> Some c in
+      match (value g.row, rhs) with
+      | Some l, Some r ->
+        let holds = match g.cmp with Le -> l <= r | Ge -> l >= r | Eq -> l = r in
+        if not holds then
+          problem
+            (Printf.sprintf "gate failed: %s (%s vs %s)" (gate_to_string g) (number l) (number r))
+      | _ -> ())
+    suite.gates;
+  match List.rev !problems with [] -> Ok () | ps -> Error (String.concat "; " ps)
+
 (* ------------------------------------------------------------------ *)
 (* JSON artifact                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -502,32 +632,28 @@ let escape s =
     s;
   Buffer.contents buf
 
-let to_json rows =
+let to_json (suite : suite) rows =
   let buf = Buffer.create 256 in
-  Buffer.add_string buf "[";
+  Buffer.add_string buf
+    (Printf.sprintf "{\n  \"suite\": \"%s\",\n  \"rows\": [" (escape suite.name));
   List.iteri
-    (fun i r ->
+    (fun i (r : row) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf "\n  {\"name\": \"%s\", \"ns_per_call\": %.3f}" (escape r.name)
-           r.ns_per_call))
+        (Printf.sprintf "\n    {\"name\": \"%s\", \"value\": %s, \"unit\": \"%s\"}" (escape r.name)
+           (number r.value) (unit_to_string r.unit)))
     rows;
-  Buffer.add_string buf "\n]\n";
+  Buffer.add_string buf "\n  ]\n}\n";
   Buffer.contents buf
 
 (* A strict recursive-descent parser for exactly the shape [to_json]
-   emits (plus whitespace and key-order freedom), hand-rolled because
-   the dependency budget has no JSON library.  Strictness is the point:
-   the artifact is machine-diffed, so anything unexpected is an error,
-   not something to skip over. *)
+   emits (plus whitespace, key order and every JSON string escape),
+   hand-rolled because the dependency budget has no JSON library.
+   Strictness is the point: the artifact is machine-diffed, so anything
+   unexpected is an error, not something to skip over. *)
 exception Bad of string
 
-let contains_substring hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
-let validate_json ?(required = required) s =
+let of_json s =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Bad (Printf.sprintf "%s at byte %d" msg !pos)) in
@@ -541,6 +667,13 @@ let validate_json ?(required = required) s =
     skip_ws ();
     if peek () = Some c then incr pos else fail (Printf.sprintf "expected '%c'" c)
   in
+  let hex4 () =
+    let hex = if !pos + 4 <= n then String.sub s !pos 4 else fail "truncated \\u escape" in
+    if not (String.for_all (function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false) hex)
+    then fail "malformed \\u escape";
+    pos := !pos + 4;
+    int_of_string ("0x" ^ hex)
+  in
   let parse_string () =
     expect '"';
     let buf = Buffer.create 16 in
@@ -552,16 +685,21 @@ let validate_json ?(required = required) s =
         Buffer.contents buf
       | '\\' ->
         incr pos;
-        (if !pos >= n then fail "truncated escape"
-         else
-           match s.[!pos] with
-           | '"' -> Buffer.add_char buf '"'
-           | '\\' -> Buffer.add_char buf '\\'
-           | '/' -> Buffer.add_char buf '/'
-           | 'n' -> Buffer.add_char buf '\n'
-           | 't' -> Buffer.add_char buf '\t'
-           | _ -> fail "unsupported escape");
+        if !pos >= n then fail "truncated escape";
+        let c = s.[!pos] in
         incr pos;
+        (match c with
+        | '"' | '\\' | '/' -> Buffer.add_char buf c
+        | 'b' -> Buffer.add_char buf '\b'
+        | 'f' -> Buffer.add_char buf '\012'
+        | 'n' -> Buffer.add_char buf '\n'
+        | 'r' -> Buffer.add_char buf '\r'
+        | 't' -> Buffer.add_char buf '\t'
+        | 'u' ->
+          let cp = hex4 () in
+          if not (Uchar.is_valid cp) then fail "surrogate \\u escape";
+          Buffer.add_utf_8_uchar buf (Uchar.of_int cp)
+        | _ -> fail "unsupported escape");
         go ()
       | c when Char.code c < 0x20 -> fail "control character in string"
       | c ->
@@ -583,67 +721,92 @@ let validate_json ?(required = required) s =
     | Some f -> f
     | None -> fail "malformed number"
   in
-  let parse_row () =
+  (* An object with exactly the given keys, in any order; each field
+     parser stores its own result. *)
+  let parse_object fields =
     expect '{';
-    let name = ref None and ns = ref None in
-    let parse_field () =
+    let seen = ref [] in
+    let rec field () =
       skip_ws ();
       let key = parse_string () in
-      expect ':';
-      match key with
-      | "name" -> (
-        match !name with
-        | Some _ -> fail "duplicate \"name\" key"
-        | None ->
-          skip_ws ();
-          name := Some (parse_string ()))
-      | "ns_per_call" -> (
-        match !ns with
-        | Some _ -> fail "duplicate \"ns_per_call\" key"
-        | None ->
-          let v = parse_number () in
-          if not (v >= 0.0) then fail "ns_per_call must be a non-negative number";
-          ns := Some v)
-      | k -> fail (Printf.sprintf "unexpected key %S" k)
+      if List.mem key !seen then fail (Printf.sprintf "duplicate %S key" key);
+      (match List.assoc_opt key fields with
+      | Some parse ->
+        expect ':';
+        seen := key :: !seen;
+        parse ()
+      | None -> fail (Printf.sprintf "unexpected key %S" key));
+      skip_ws ();
+      match peek () with
+      | Some ',' ->
+        incr pos;
+        field ()
+      | _ -> expect '}'
     in
-    parse_field ();
-    expect ',';
-    parse_field ();
-    expect '}';
-    match (!name, !ns) with
-    | Some name, Some ns_per_call -> { name; ns_per_call }
-    | _ -> fail "row must have both \"name\" and \"ns_per_call\""
+    field ();
+    List.iter
+      (fun (k, _) -> if not (List.mem k !seen) then fail (Printf.sprintf "missing %S key" k))
+      fields
   in
-  try
+  let parse_row () =
+    let name = ref "" and value = ref 0.0 and unit = ref Ns in
+    parse_object
+      [ ("name", fun () -> name := parse_string ());
+        ( "value",
+          fun () ->
+            let v = parse_number () in
+            if not (v >= 0.0 && Float.is_finite v) then fail "value must be a non-negative number";
+            value := v );
+        ( "unit",
+          fun () ->
+            let u = parse_string () in
+            match List.find_opt (fun (_, s) -> s = u) unit_names with
+            | Some (u, _) -> unit := u
+            | None -> fail (Printf.sprintf "unknown unit %S" u) ) ];
+    { name = !name; value = !value; unit = !unit }
+  in
+  let parse_rows () =
     expect '[';
     skip_ws ();
-    let rows =
-      if peek () = Some ']' then begin
-        incr pos;
-        []
-      end
-      else begin
-        let acc = ref [ parse_row () ] in
-        let continue = ref true in
-        while !continue do
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            incr pos;
-            acc := parse_row () :: !acc
-          | _ -> continue := false
-        done;
-        expect ']';
-        List.rev !acc
-      end
-    in
+    if peek () = Some ']' then begin
+      incr pos;
+      []
+    end
+    else begin
+      let rec more acc =
+        skip_ws ();
+        match peek () with
+        | Some ',' ->
+          incr pos;
+          more (parse_row () :: acc)
+        | _ ->
+          expect ']';
+          List.rev acc
+      in
+      more [ parse_row () ]
+    end
+  in
+  try
     skip_ws ();
-    if !pos <> n then fail "trailing garbage after array";
-    let missing =
-      List.filter
-        (fun req -> not (List.exists (fun r -> contains_substring r.name req) rows))
-        required
-    in
-    if missing <> [] then Error ("missing required benchmark rows: " ^ String.concat ", " missing)
-    else Ok rows
+    if peek () = Some '[' then
+      fail
+        "v1 artifact (a bare array of two-key rows); expected {\"suite\": S, \
+         \"rows\": [{name, value, unit}, ...]}";
+    let suite = ref "" and rows = ref [] in
+    parse_object
+      [ ("suite", fun () -> suite := parse_string ()); ("rows", fun () -> rows := parse_rows ()) ];
+    skip_ws ();
+    if !pos <> n then fail "trailing garbage after object";
+    Ok (!suite, !rows)
   with Bad msg -> Error msg
+
+let validate_json s =
+  match of_json s with
+  | Error e -> Error e
+  | Ok (name, rows) -> (
+    match find_suite name with
+    | None ->
+      Error
+        (Printf.sprintf "unknown suite %S (known: %s)" name
+           (String.concat ", " (List.map (fun (s : suite) -> s.name) suites)))
+    | Some suite -> Result.map (fun () -> (suite, rows)) (check suite rows))

@@ -1,17 +1,54 @@
-(** Bechamel micro-benchmarks of the core machinery, shared between the
-    experiment harness ([bench/main.exe]) and the [tilesched bench]
-    subcommand.
+(** The benchmark harness behind [tilesched bench] and the experiment
+    runner ([bench/main.exe]): one registry of suites, each declaring
+    the rows it must report, their units, and the gates its numbers
+    must clear.
 
-    The suite pins one workload per hot subsystem (boundary-word
-    factorization, torus exact cover under each {!Tiling.Search.engine},
-    schedule lookup, coloring, simulation, ...) and reports an OLS
-    estimate of nanoseconds per call.  Rows serialize to the
-    [BENCH_5.json] artifact - a JSON array of
-    [{"name": ..., "ns_per_call": ...}] objects - which CI regenerates,
-    schema-checks with {!validate_json} and uploads, so engine
-    regressions are visible as a diffable time series. *)
+    A suite run yields typed rows [{name; value; unit}].  The artifact
+    is one JSON object [{"suite": S, "rows": [...]}], so a file names
+    its own suite; {!validate_json} checks the schema, then that
+    suite's required rows, units and gates.  CI regenerates every
+    suite's artifact and validates it, and the committed
+    [BENCH_*.json] files are validated the same way. *)
 
-type row = { name : string; ns_per_call : float }
+type unit_ =
+  | Ns  (** nanoseconds per call (Bechamel OLS estimate) *)
+  | Us  (** microseconds *)
+  | Per_s  (** events per second *)
+  | Ratio  (** dimensionless *)
+  | Slots  (** schedule slots *)
+  | Count  (** an event count *)
+
+val unit_to_string : unit_ -> string
+(** ["ns"], ["us"], ["1/s"], ["ratio"], ["slots"], ["count"]: the
+    spelling in the artifact. *)
+
+type row = { name : string; value : float; unit : unit_ }
+
+type cmp = Le | Ge | Eq
+
+type bound = Row of string | Const of float
+
+type gate = { row : string; cmp : cmp; bound : bound }
+(** [row cmp bound]: the named row's value against a constant or
+    another row's value. *)
+
+type suite = {
+  name : string;  (** the CLI argument and the artifact's ["suite"] *)
+  doc : string;  (** one clause for the CLI help *)
+  required : (string * unit_) list;
+      (** rows every run must report, with their units *)
+  gates : gate list;
+  run : quota:float -> exe:string -> row list;
+      (** [quota] is the Bechamel time budget per benchmark in seconds
+          ([> 0]; small values make a smoke run); [exe] is the
+          [tilesched] binary, which the server suite spawns as its
+          daemon. *)
+}
+
+val suites : suite list
+(** [core], [skew], [lifetime], [corpus], [server], in that order. *)
+
+val find_suite : string -> suite option
 
 val staircase : int -> Lattice.Prototile.t
 (** Exact staircase polyomino with ~4k+2 boundary letters - the standard
@@ -37,102 +74,27 @@ val skew_root_share : n:int -> float
     (monomino covering cell 0), measured by filtered enumeration at
     [jobs = 1].  The skew test asserts this is [>= 0.9] at [n = 20]. *)
 
-val run : ?quota:float -> unit -> row list
-(** Run the whole suite and return one row per benchmark, sorted by
-    name.  [quota] is the Bechamel time budget per benchmark in seconds
-    (default 0.5); smaller quotas trade estimate quality for wall time,
-    which is what the CI smoke run wants.  Raises [Invalid_argument] if
-    [quota <= 0]. *)
+val check : suite -> row list -> (unit, string) result
+(** Every required row present with its declared unit, and every gate
+    holding.  A declared name matches a row of that name, with or
+    without a Bechamel group prefix (["corpus/corpus-mmap-find-warm"]).
+    The error names every problem found. *)
 
-val run_skew : ?quota:float -> unit -> row list
-(** The EXP-P3 scheduler benchmark, serialized to [BENCH_6.json]:
-    {!Tiling.Search.count_torus_covers} on [skew_instance ~n:28] as
-    [skew-seq-j1] (jobs = 1) and [skew-steal-j4] (jobs = 4).  A
-    single-core host shows no speedup, so the artifact is
-    schema-checked rather than threshold-checked.  [quota] as in
-    {!run}. *)
+val to_json : suite -> row list -> string
+(** The artifact: [{"suite": ..., "rows": [...]}], one row per line,
+    each value the shortest decimal that reads back as the same float.
+    Names may hold any bytes; {!of_json} reads back exactly what this
+    writes. *)
 
-val required : string list
-(** Substrings that {!validate_json} demands among row names: the three
-    torus-cover engines on the EXP-P2 workload (S/Z tetrominoes on the
-    4x8 torus, all 1024 solutions, jobs = 1), each both as pure
-    enumeration ([torus-all-*], {!Tiling.Search.count_torus_covers}) and
-    end-to-end materialization ([torus-mat-*]), so the artifact always
-    carries the backtracking/DLX/bitmask comparison this suite exists to
-    track. *)
+val of_json : string -> (string * row list, string) result
+(** Strict schema check: one object with exactly the keys ["suite"]
+    (string) and ["rows"] (an array of objects with exactly ["name"]
+    (string), ["value"] (finite non-negative number) and ["unit"] (a
+    {!unit_to_string} spelling)), keys in any order, no trailing
+    garbage.  A bare array (the retired two-key format) is rejected as
+    such.  Returns the suite name and rows, or a message locating the
+    first problem. *)
 
-val required_skew : string list
-(** The row names {!validate_json} demands of the [BENCH_6.json]
-    artifact: the two {!run_skew} configurations. *)
-
-val run_lifetime : ?quota:float -> unit -> row list
-(** The lifetime suite (EXP-L1), serialized to [BENCH_7.json].  Two row
-    families share the two-key schema with different units:
-    [lifetime-*-first-death-slots] rows carry the {e slot} of the first
-    battery death in a deterministic simulation (I-tetromino rows on an
-    8x8 grid, tile leaders paying +1.0/slot against a 30-unit battery)
-    under the static schedule vs a balanced 4-cover least-depleted
-    rotation - the lifetime-extension factor is their ratio; the
-    [repair-solve-*] rows are genuine Bechamel ns-per-call estimates of
-    {!Lifetime.Repair.repair} on the minimal wrapped-row window (I-tet,
-    8 cells) and on a one-ring-grown window (S-tet, 56 cells) - the
-    repair-latency-vs-window-size comparison.  [quota] as in {!run}
-    (the simulated rows ignore it: they are exact). *)
-
-val required_lifetime : string list
-(** The name substrings {!validate_json} demands of the [BENCH_7.json]
-    artifact: the static and rotating lifetime rows and the repair
-    solver timings. *)
-
-val run_corpus : ?quota:float -> unit -> row list
-(** The corpus suite (EXP-CORPUS), serialized to [BENCH_8.json].  Builds the
-    full [n <= 7] verdict corpus (164 canonical classes) in a temp
-    directory plus a certificate store holding the same verdicts, then
-    measures a single key lookup against each tier: warm
-    ([corpus-mmap-find-warm] vs [corpus-store-find-warm], both tiers
-    resident, cycling through every key) and cold-start
-    ([corpus-mmap-coldstart-find] vs [corpus-store-coldstart-find]:
-    open the tier, find one key, close it).  The cold-start pair is the
-    headline: {!Store.open_} replays and re-validates its whole log
-    before the first answer, {!Corpus.Snapshot.open_} just maps the
-    files, so the gap grows linearly with corpus size.  [quota] as in
-    {!run}. *)
-
-val required_corpus : string list
-(** The name substrings {!validate_json} demands of the [BENCH_8.json]
-    artifact: the four {!run_corpus} rows. *)
-
-val run_server : ?quota:float -> exe:string -> unit -> row list
-(** The wire-protocol suite (EXP-SRV2), serialized to [BENCH_10.json].
-    Builds an [n <= 5] corpus, spawns [exe serve --corpus] on a temp
-    Unix socket, and rides the two-key schema with three row families
-    in different units: closed-loop warm tile-search throughput under
-    each wire dialect ([server-text-warm-rps] vs
-    [server-binary-warm-rps], requests/second, with their ratio as
-    [server-binary-vs-text-speedup] - the binary codec plus the
-    zero-copy corpus splice path is required to clear 5x); the
-    open-loop per-request latency percentiles of a 10,000-connection
-    binary run ([server-open-10k-p{50,95,99}-us], microseconds); and
-    [server-open-10k-dropped], the undecodable-reply count of that
-    run, which must be 0.  The closed-loop request count scales with
-    [quota] ([quota * 10_000], at least 1000); the 10k-connection run
-    is fixed-size.  The run finishes by shutting the spawned server
-    down (and kills it if anything raises first). *)
-
-val required_server : string list
-(** The name substrings {!validate_json} demands of the [BENCH_10.json]
-    artifact: the seven {!run_server} rows. *)
-
-val to_json : row list -> string
-(** Serialize rows as a JSON array of two-key objects, one per line.
-    Output round-trips through {!validate_json} provided the rows
-    include the demanded names. *)
-
-val validate_json : ?required:string list -> string -> (row list, string) result
-(** Strict schema check for the benchmark artifacts: a single JSON
-    array of objects with exactly the keys ["name"] (string) and
-    ["ns_per_call"] (non-negative number) in either order, no trailing
-    garbage, and every [required] substring present among the names
-    (default {!required}, the [BENCH_5.json] contract; pass
-    {!required_skew} for [BENCH_6.json]).  Returns the parsed rows, or
-    a message locating the first problem. *)
+val validate_json : string -> (suite * row list, string) result
+(** {!of_json}, then {!check} against the named suite; an unknown
+    suite is an error. *)

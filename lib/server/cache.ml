@@ -69,14 +69,12 @@ let add t key value =
 
 let counters t = (t.hits, t.misses, t.evictions)
 
-let fold t ~init ~f =
+let to_alist t =
   let rec go acc node =
-    if node == t.sentinel then acc
+    if node == t.sentinel then List.rev acc
     else
       match node.value with
       | None -> go acc node.next
-      | Some v -> go (f acc node.key v) node.next
+      | Some v -> go ((node.key, v) :: acc) node.next
   in
-  go init t.sentinel.next
-
-let to_alist t = List.rev (fold t ~init:[] ~f:(fun acc key v -> (key, v) :: acc))
+  go [] t.sentinel.next

@@ -32,13 +32,6 @@ val add : 'a t -> string -> 'a -> unit
 val counters : 'a t -> int * int * int
 (** [(hits, misses, evictions)] since creation. *)
 
-val fold : 'a t -> init:'b -> f:('b -> string -> 'a -> 'b) -> 'b
-(** Fold over the entries from most to least recently used, without
-    touching recency or the counters.  This is the enumeration the
-    persistent store's write-through and snapshot paths use: the memory
-    tier can be walked (e.g. to flush still-unpersisted entries on
-    shutdown, hottest first) without reaching into the LRU internals. *)
-
 val to_alist : 'a t -> (string * 'a) list
-(** [(key, value)] pairs, most recently used first; same contract as
-    {!fold}. *)
+(** [(key, value)] pairs, most recently used first, without touching
+    recency or the counters. *)

@@ -70,17 +70,6 @@ let stored_of_entry : entry -> Store.entry = function
   | Absent -> Store.No_tiling
   | Found { tiling; certificate; _ } -> Store.Found { tiling; certificate }
 
-let flush_to_store t =
-  match t.store with
-  | None -> 0
-  | Some store ->
-    Cache.fold t.cache ~init:0 ~f:(fun written key entry ->
-        if Store.mem store key then written
-        else begin
-          Store.put store key (stored_of_entry entry);
-          written + 1
-        end)
-
 (* [Tiling.Search.find_tiling] with the wall clock checked before every
    stage: a single stage can overshoot, so the bound is per-stage
    granular.  Returns [None] on timeout, [Some entry] otherwise. *)

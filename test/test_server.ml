@@ -40,23 +40,21 @@ let test_cache_replace_not_eviction () =
   Alcotest.(check int) "no eviction on replace" 0 evictions;
   Alcotest.(check (option int)) "replaced" (Some 2) (Cache.find c "a")
 
-let test_cache_fold_lru_order () =
+let test_cache_to_alist_lru_order () =
   let c = Cache.create ~capacity:3 in
   Cache.add c "a" 1;
   Cache.add c "b" 2;
   Cache.add c "c" 3;
   Alcotest.(check (list (pair string int)))
     "MRU first" [ ("c", 3); ("b", 2); ("a", 1) ] (Cache.to_alist c);
-  (* A hit reorders; fold must see the new recency order... *)
+  (* A hit reorders; to_alist must see the new recency order... *)
   ignore (Cache.find c "a");
   Alcotest.(check (list (pair string int)))
     "hit promotes" [ ("a", 1); ("c", 3); ("b", 2) ] (Cache.to_alist c);
-  (* ...but fold itself must not touch recency or the counters. *)
+  (* ...but to_alist itself must not touch recency or the counters. *)
   let counters_before = Cache.counters c in
-  let n = Cache.fold c ~init:0 ~f:(fun acc _ _ -> acc + 1) in
-  Alcotest.(check int) "fold visits all" 3 n;
   Alcotest.(check (list (pair string int)))
-    "fold left order unchanged" [ ("a", 1); ("c", 3); ("b", 2) ] (Cache.to_alist c);
+    "to_alist left order unchanged" [ ("a", 1); ("c", 3); ("b", 2) ] (Cache.to_alist c);
   let h, m, e = counters_before and h', m', e' = Cache.counters c in
   Alcotest.(check (list int)) "counters untouched" [ h; m; e ] [ h'; m'; e' ]
 
@@ -424,8 +422,8 @@ let () =
           Alcotest.test_case "LRU eviction and counters" `Quick test_cache_lru;
           Alcotest.test_case "replace is not eviction" `Quick
             test_cache_replace_not_eviction;
-          Alcotest.test_case "fold/to_alist in recency order" `Quick
-            test_cache_fold_lru_order;
+          Alcotest.test_case "to_alist in recency order" `Quick
+            test_cache_to_alist_lru_order;
         ] );
       ( "canonicalization",
         [

@@ -291,17 +291,38 @@ let test_precompute_skips_settled () =
       Alcotest.(check int) "no new tilings" 0 r2.Store.Precompute.found;
       Store.close store)
 
-let test_flush_to_store () =
+(* Write-through leaves nothing held by the memory tier alone: after
+   fresh searches and store hits, every key in the LRU is in the store.
+   The LRU holds one entry per class asked about, so the entry count
+   plus a [Store.mem] per class covers every LRU key.  An engine without
+   a store writes nothing. *)
+let test_lru_keys_in_store () =
+  let tiles =
+    [ tet `S; tet `L; tet `T; Prototile.rect 2 3; Prototile.pentomino `F ]
+  in
+  let ask e = List.iter (fun t -> ignore (Engine.handle e (Protocol.Tile_search t))) tiles in
   with_temp_store (fun path ->
       let store = Store.open_ path in
+      ignore (Engine.handle (Engine.create ~store ()) (Protocol.Tile_search (tet `Z)));
+      Store.close store;
+      let store = Store.open_ path in
       let e = Engine.create ~store () in
-      ignore (Engine.handle e (Protocol.Tile_search (tet `S)));
-      (* Write-through already persisted the search result. *)
-      Alcotest.(check int) "nothing left to flush" 0 (Engine.flush_to_store e);
+      ask e;
+      let s = Engine.stats e in
+      Alcotest.(check int) "S answered from the store" 1 s.Protocol.store_hits;
+      Alcotest.(check int) "the rest searched" 4 s.Protocol.searches;
+      Alcotest.(check int) "one LRU entry per class" 5 s.Protocol.cache_entries;
+      List.iter
+        (fun t ->
+          if not (Store.mem store (Engine.canonical_key t)) then
+            Alcotest.failf "LRU key %s is not in the store" (Engine.canonical_key t))
+        tiles;
       Store.close store);
-  let e = Engine.create () in
-  ignore (Engine.handle e (Protocol.Tile_search (tet `S)));
-  Alcotest.(check int) "no store, no flush" 0 (Engine.flush_to_store e)
+  with_temp_store (fun path ->
+      let store = Store.open_ path in
+      ask (Engine.create ());
+      Alcotest.(check int) "no store attached, nothing written" 0 (Store.length store);
+      Store.close store)
 
 let () =
   Alcotest.run "store"
@@ -336,7 +357,7 @@ let () =
             test_warm_store_answers_without_search;
           Alcotest.test_case "precompute skips settled classes" `Quick
             test_precompute_skips_settled;
-          Alcotest.test_case "flush_to_store is a no-op after write-through" `Quick
-            test_flush_to_store;
+          Alcotest.test_case "every LRU key is in the store" `Quick
+            test_lru_keys_in_store;
         ] );
     ]

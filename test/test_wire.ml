@@ -1,8 +1,9 @@
 (* Tests for the binary wire protocol and the epoll socket server:
    frame round-trips for every message type, decoder totality under
    truncation and bit flips, protocol sniffing (both dialects through
-   one socket), corrupt-frame connection isolation, and the
-   fd-leak-on-abrupt-disconnect regression. *)
+   one socket), corrupt-frame connection isolation, the
+   fd-leak-on-abrupt-disconnect regression, and the reply-path
+   differential over a daemon serving a corpus. *)
 
 open Lattice
 module Protocol = Server.Protocol
@@ -183,13 +184,12 @@ let test_header_peeks () =
 
 let sock_counter = ref 0
 
-let with_server f =
+let with_server ?(engine = Engine.create ()) f =
   incr sock_counter;
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "tilesched-wire-%d-%d.sock" (Unix.getpid ()) !sock_counter)
   in
-  let engine = Engine.create () in
   let d = Domain.spawn (fun () -> Frontend.serve_unix engine ~path) in
   let rec await n =
     let ready =
@@ -376,6 +376,121 @@ let test_sigpipe_reply_in_flight () =
       | _ -> Alcotest.fail "server unresponsive after reply-in-flight close");
       Unix.close fd)
 
+(* ---------- reply-path differential ---------- *)
+
+let rm_rf dir =
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Unix.rmdir dir
+  end
+
+(* A tile reply's source and, when exact, its tiling rebuilt through
+   [Single.make] from the decoded fields.  Binary tiling replies decode
+   to the raw fragment, text ones to a decoded tiling. *)
+let verdict route (resp : Protocol.response) =
+  let remake source tiling =
+    match
+      Tiling.Single.make ~prototile:(Tiling.Single.prototile tiling)
+        ~period:(Tiling.Single.period tiling) ~offsets:(Tiling.Single.offsets tiling)
+    with
+    | Ok t -> (source, Some t)
+    | Error e -> Alcotest.failf "%s: tiling fails re-validation: %s" route e
+  in
+  match resp with
+  | Protocol.Tiling_r { tiling; source; _ } -> remake source tiling
+  | Protocol.Tiling_raw_r { tiling_fields; source } -> (
+    match Protocol.tiling_of_fragment tiling_fields with
+    | Ok tiling -> remake source tiling
+    | Error e -> Alcotest.failf "%s: undecodable tiling: %s" route e)
+  | Protocol.No_tiling source -> (source, None)
+  | r -> Alcotest.failf "%s: not a tile verdict: %s" route (Protocol.response_to_string r)
+
+let same_tiling a b =
+  Prototile.equal (Tiling.Single.prototile a) (Tiling.Single.prototile b)
+  && Sublattice.equal (Tiling.Single.period a) (Tiling.Single.period b)
+  && List.equal Zgeom.Vec.equal
+       (List.sort Zgeom.Vec.compare (Tiling.Single.offsets a))
+       (List.sort Zgeom.Vec.compare (Tiling.Single.offsets b))
+
+(* One daemon over the n <= 6 corpus answers each canonical class
+   through every route it has: a binary tile-search (the loop thread
+   decodes, probes the snapshot and fills the payload memo), the same
+   frame again (answered pre-decode from the memo), and a text line
+   (the engine's [Tiling_raw_r] splice); all three must carry the same
+   verdict and tiling.  A rotated orientation (the engine transports
+   the corpus entry) must give the same tiling in both dialects.  An
+   in-process engine without a corpus searches both orientations; it
+   may pick a different lattice than the corpus stores, so it is held
+   to the verdict. *)
+let test_reply_paths_agree () =
+  let dir = Filename.temp_file "tilesched-wire-corpus" "" in
+  Sys.remove dir;
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  (match Corpus.Campaign.run ~dir ~max_n:6 () with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let snap =
+    match Corpus.Snapshot.open_ dir with Ok s -> s | Error e -> Alcotest.fail e
+  in
+  let classes = ref [] in
+  Polyomino.enumerate_free_iter ~max_area:6 (fun ~area:_ t ->
+      classes := Symmetry.canonical t :: !classes);
+  Alcotest.(check int) "classes up to area 6" 56 (List.length !classes);
+  let fresh = Engine.create () in
+  with_server ~engine:(Engine.create ~corpus:snap ()) (fun path ->
+      Frontend.with_binary_connection ~path @@ fun bsend ->
+      Frontend.with_connection ~path @@ fun tsend ->
+      List.iter
+        (fun canon ->
+          let name = Core.Codec.vecs_to_string (Prototile.cells canon) in
+          let binary route tile =
+            match bsend [ Protocol.Tile_search tile ] with
+            | [ Ok (_, r) ] -> verdict route r
+            | [ Error e ] -> Alcotest.failf "%s %s: %s" route name e
+            | _ -> Alcotest.failf "%s %s: expected one reply" route name
+          in
+          let text route tile =
+            match tsend [ Protocol.request_to_string ~id:1 (Protocol.Tile_search tile) ] with
+            | [ line ] -> (
+              match Protocol.response_of_string line with
+              | Ok (_, r) -> verdict route r
+              | Error e -> Alcotest.failf "%s %s: %s" route name e)
+            | _ -> Alcotest.failf "%s %s: expected one reply" route name
+          in
+          let searched tile =
+            match verdict "fresh" (Engine.handle fresh (Protocol.Tile_search tile)) with
+            | Some Protocol.Fresh, t | Some Protocol.Memory, t -> t
+            | _ -> Alcotest.failf "fresh %s: not answered by a search" name
+          in
+          let agree route ~reference (source, tiling) =
+            if source <> Some Protocol.Corpus then
+              Alcotest.failf "%s %s: not answered from the corpus" route name;
+            match (reference, tiling) with
+            | None, None -> ()
+            | Some a, Some b when same_tiling a b -> ()
+            | _ -> Alcotest.failf "%s %s: reply differs from the text reply" route name
+          in
+          let same_verdict route a b =
+            if Option.is_some a <> Option.is_some b then
+              Alcotest.failf "%s %s: verdict differs from a fresh search" route name
+          in
+          let first = binary "binary" canon in
+          let second = binary "binary pre-decode" canon in
+          let _, reference = text "text" canon in
+          agree "binary" ~reference first;
+          agree "binary pre-decode" ~reference second;
+          same_verdict "text" reference (searched canon);
+          let rotated = Prototile.rot90 canon in
+          let _, rot_reference = text "text rotated" rotated in
+          agree "binary rotated" ~reference:rot_reference (binary "binary rotated" rotated);
+          same_verdict "text rotated" rot_reference (searched rotated);
+          Option.iter
+            (fun t ->
+              if not (Prototile.equal (Tiling.Single.prototile t) rotated) then
+                Alcotest.failf "text rotated %s: tiling not in the asked orientation" name)
+            rot_reference)
+        (List.rev !classes))
+
 let () =
   Alcotest.run "wire"
     [
@@ -405,5 +520,7 @@ let () =
             test_fd_leak_regression;
           Alcotest.test_case "reply to a dead peer never raises SIGPIPE"
             `Quick test_sigpipe_reply_in_flight;
+          Alcotest.test_case "corpus daemon: every reply path agrees" `Quick
+            test_reply_paths_agree;
         ] );
     ]
