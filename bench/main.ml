@@ -647,7 +647,7 @@ let server_loadgen () =
 let store_warm_start () =
   section "EXP-STORE" "certificate store: cold start vs warm restart (area <= 5)";
   let path = Filename.temp_file "tilesched-bench-store" ".log" in
-  let tiles = Store.Precompute.tiles_up_to 5 in
+  let tiles = List.concat_map Polyomino.enumerate_free [ 1; 2; 3; 4; 5 ] in
   (* One pass over every canonical class of area <= 5, per-request
      latency into the same estimator the simulator uses. *)
   let drive engine =

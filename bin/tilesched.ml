@@ -140,44 +140,39 @@ let figure_cmd =
   let term = Term.(term_result (const run $ num $ dir)) in
   Cmd.v (Cmd.info "figure" ~doc:"Regenerate a figure of the paper.") term
 
-(* ---------- exact ---------- *)
+(* ---------- exact / schedule ---------- *)
+
+let reason = function
+  | `Hole -> "the polyomino has a hole, which no translate can fill"
+  | `No_bn_factorization -> "its boundary word has no Beauquier-Nivat factorization"
+
+let not_found = "no tiling found with a period of index up to 4|N| (a bounded search, not a proof)"
+
+(* The tiling behind every command that builds a schedule: [decide]'s,
+   or an error saying why there is none. *)
+let tiling_of tile =
+  match Tiling.Search.decide tile with
+  | Tiling.Search.Exact t -> Ok t
+  | Tiling.Search.Non_exact r -> Error (`Msg ("prototile is not exact: " ^ reason r))
+  | Tiling.Search.Not_found -> Error (`Msg not_found)
 
 let exact_cmd =
   let run () tile =
     Printf.printf "prototile (m = %d):\n%s\n\n" (Prototile.size tile) (Render.Ascii.prototile tile);
-    if Prototile.dim tile = 2 && Polyomino.is_polyomino tile then begin
-      let w = Polyomino.boundary_word tile in
-      Printf.printf "boundary word: %s (length %d)\n" w (String.length w);
-      match Boundary_word.find_factorization w with
-      | Some f ->
-        let x1, x2, x3 = Boundary_word.factor_words w f in
-        Printf.printf "BN factorization: X1=%s X2=%s X3=%s -> EXACT (%s)\n" x1 x2
-          (if x3 = "" then "-" else x3)
-          (if f.Boundary_word.len3 = 0 then "pseudo-square" else "pseudo-hexagon");
-        let v1, v2 = Boundary_word.translation_vectors w f in
-        Printf.printf "tiling translation vectors: %s, %s\n" (Zgeom.Vec.to_string v1)
-          (Zgeom.Vec.to_string v2)
-      | None -> Printf.printf "no BN factorization -> NOT exact (cannot tile by translations)\n"
-    end
-    else begin
-      match Tiling.Search.exactness tile with
-      | `Exact -> print_endline "EXACT (tiling found by search)"
-      | `NotExact -> print_endline "NOT exact"
-      | `Unknown -> print_endline "UNKNOWN (bounded search exhausted; not a polyomino)"
-    end
+    match Tiling.Search.decide tile with
+    | Tiling.Search.Exact t -> Format.printf "EXACT@.%a@." Tiling.Single.pp t
+    | Tiling.Search.Non_exact r -> Printf.printf "NOT exact: %s\n" (reason r)
+    | Tiling.Search.Not_found -> Printf.printf "UNKNOWN: %s\n" not_found
   in
   Cmd.v
     (Cmd.info "exact" ~doc:"Decide whether a prototile tiles the lattice (question Q1).")
     Term.(const run $ jobs_term $ tile_arg)
 
-(* ---------- schedule ---------- *)
-
 let schedule_cmd =
   let run () tile width height =
-    match Tiling.Search.find_tiling tile with
-    | None ->
-      Error (`Msg "prototile admits no (discovered) tiling; no schedule of this form exists")
-    | Some tiling ->
+    match tiling_of tile with
+    | Error _ as e -> e
+    | Ok tiling ->
       let sched = Core.Schedule.of_tiling tiling in
       Printf.printf "prototile (m = %d):\n%s\n\n" (Prototile.size tile)
         (Render.Ascii.prototile tile);
@@ -249,10 +244,8 @@ let simulate_cmd =
   let run () tile width height mac duration interval seed timeline runs =
     let mac_factory =
       match mac with
-      | `Lattice -> (
-        match Tiling.Search.find_tiling tile with
-        | Some t -> Ok (Netsim.Mac.lattice_tdma (Core.Schedule.of_tiling t))
-        | None -> Error (`Msg "prototile admits no tiling; use another MAC"))
+      | `Lattice ->
+        Result.map (fun t -> Netsim.Mac.lattice_tdma (Core.Schedule.of_tiling t)) (tiling_of tile)
       | `Tdma -> Ok (Netsim.Mac.full_tdma ~num_nodes:(width * height))
       | `Aloha -> Ok (Netsim.Mac.slotted_aloha ~p:0.2 ~max_backoff_exp:6)
       | `Csma -> Ok (Netsim.Mac.p_csma ~p:0.3)
@@ -310,9 +303,9 @@ let simulate_cmd =
 
 let certify_cmd =
   let run () tile =
-    match Tiling.Search.find_tiling tile with
-    | None -> Error (`Msg "prototile admits no tiling")
-    | Some tiling ->
+    match tiling_of tile with
+    | Error _ as e -> e
+    | Ok tiling ->
       let cert = Core.Certificate.build tiling in
       print_endline (Core.Certificate.to_string cert);
       (match Core.Certificate.check cert with
@@ -338,9 +331,9 @@ let export_cmd =
           ~doc:"Output format: record (parsable schedule line) or csv (per-sensor slots).")
   in
   let run () tile width height fmt =
-    match Tiling.Search.find_tiling tile with
-    | None -> Error (`Msg "prototile admits no tiling")
-    | Some tiling ->
+    match tiling_of tile with
+    | Error _ as e -> e
+    | Ok tiling ->
       let sched = Core.Schedule.of_tiling tiling in
       (match fmt with
       | `Record ->
@@ -372,9 +365,9 @@ let sync_cmd =
     Arg.(value & opt int 20000 & info [ "duration" ] ~docv:"SLOTS" ~doc:"Simulated slots.")
   in
   let run () tile width height resync drift duration =
-    match Tiling.Search.find_tiling tile with
-    | None -> Error (`Msg "prototile admits no tiling")
-    | Some tiling ->
+    match tiling_of tile with
+    | Error _ as e -> e
+    | Ok tiling ->
       let schedule = Core.Schedule.of_tiling tiling in
       let r =
         Netsim.Timesync.run
@@ -412,9 +405,8 @@ let store_arg =
     & opt (some string) None
     & info [ "store" ] ~docv:"PATH"
         ~doc:
-          "Persistent certificate store (append-only log, created if absent). serve: probe it \
-           on cache misses and write completed searches through; precompute: write verdicts \
-           here.")
+          "Persistent certificate store (append-only log, created if absent): probed on cache \
+           misses, and completed searches are written through.")
 
 let report_recovery store =
   let r = Store.recovery store in
@@ -504,50 +496,6 @@ let serve_cmd =
         (const run $ jobs_term $ socket_arg $ cache $ queue $ deadline $ store_arg $ corpus
        $ idle_timeout))
 
-let precompute_cmd =
-  let max_area =
-    Arg.(
-      value & opt int 5
-      & info [ "n"; "max-area" ] ~docv:"N"
-          ~doc:"Settle every free polyomino of area at most N (OEIS A000105 classes).")
-  in
-  let print_requests =
-    Arg.(
-      value & flag
-      & info [ "print-requests" ]
-          ~doc:
-            "Instead of searching, print one tile-search request line per canonical class to \
-             stdout - pipe into 'tilesched serve' to replay the workload.")
-  in
-  let run () max_area store_path print_requests =
-    if max_area < 1 then Error (`Msg "-n must be at least 1")
-    else if print_requests then begin
-      List.iteri
-        (fun id tile ->
-          print_endline (Server.Protocol.request_to_string ~id (Server.Protocol.Tile_search tile)))
-        (Store.Precompute.tiles_up_to max_area);
-      Ok ()
-    end
-    else
-      match store_path with
-      | None -> Error (`Msg "--store PATH is required (unless --print-requests)")
-      | Some path ->
-        let store = Store.open_ path in
-        report_recovery store;
-        let report = Store.Precompute.run ~store ~max_area () in
-        Store.close store;
-        Format.printf "%a@." Store.Precompute.pp_report report;
-        Ok ()
-  in
-  Cmd.v
-    (Cmd.info "precompute"
-       ~doc:
-         "Settle all small prototile classes offline: enumerate the free polyominoes up to an \
-          area bound, run the tiling search for each (spread over -j domains), and write every \
-          verdict - tiling + certificate, or proven exhaustion - to the certificate store. A \
-          daemon started with the same --store then answers those queries without searching.")
-    Term.(term_result (const run $ jobs_term $ max_area $ store_arg $ print_requests))
-
 (* ---------- corpus ---------- *)
 
 let corpus_cmd =
@@ -557,13 +505,13 @@ let corpus_cmd =
       & opt (some string) None
       & info [ "d"; "dir" ] ~docv:"DIR" ~doc:"Corpus directory.")
   in
+  let max_area =
+    Arg.(
+      value & opt int 10
+      & info [ "n"; "max-area" ] ~docv:"N"
+          ~doc:"Every free polyomino of area at most N (OEIS A000105 classes).")
+  in
   let build_cmd =
-    let max_area =
-      Arg.(
-        value & opt int 10
-        & info [ "n"; "max-area" ] ~docv:"N"
-            ~doc:"Decide every free polyomino of area at most N (OEIS A000105 classes).")
-    in
     let shards =
       Arg.(
         value & opt int 8
@@ -656,13 +604,32 @@ let corpus_cmd =
             keys, certificate checks, index completeness, and manifest agreement.")
       Term.(term_result (const run $ jobs_term $ dir_arg))
   in
+  let requests_cmd =
+    let run max_area =
+      if max_area < 1 then Error (`Msg "-n must be at least 1")
+      else begin
+        let id = ref 0 in
+        Polyomino.enumerate_free_iter ~max_area (fun ~area:_ tile ->
+            print_endline
+              (Server.Protocol.request_to_string ~id:!id (Server.Protocol.Tile_search tile));
+            incr id);
+        Ok ()
+      end
+    in
+    Cmd.v
+      (Cmd.info "requests"
+         ~doc:
+           "Print one tile-search request line per free polyomino class, in corpus order - \
+            pipe into 'tilesched serve' to replay the workload.")
+      Term.(term_result (const run $ max_area))
+  in
   Cmd.group
     (Cmd.info "corpus"
        ~doc:
-         "Precomputed verdict corpus: a BN-filtered campaign over all small polyomino classes, \
+         "Offline verdict corpus: a BN-filtered campaign over all small polyomino classes, \
           stored in sharded mmap-ready segments and served by 'tilesched serve --corpus' with \
           zero deserialization.")
-    [ build_cmd; stats_cmd; verify_cmd ]
+    [ build_cmd; stats_cmd; verify_cmd; requests_cmd ]
 
 let loadgen_cmd =
   let requests =
@@ -966,11 +933,7 @@ let lifetime_cmd =
 
     (* 2. Local repair: kill a tile leader, re-tile a wrapped window on
        the deployment torus, certify the spliced schedule. *)
-    let* base =
-      match Tiling.Search.find_tiling tile with
-      | Some t -> Ok t
-      | None -> Error (`Msg "prototile admits no (discovered) tiling; nothing to repair")
-    in
+    let* base = tiling_of tile in
     let period = Tiling.Single.period base in
     let deployment =
       if List.for_all (Sublattice.mem period) (Sublattice.generators torus) then torus
@@ -1146,5 +1109,5 @@ let () =
     (Cmd.eval
        (Cmd.group (Cmd.info "tilesched" ~version:"1.0.0" ~doc)
           [ figure_cmd; exact_cmd; schedule_cmd; color_cmd; simulate_cmd; export_cmd; sync_cmd;
-            certify_cmd; serve_cmd; loadgen_cmd; precompute_cmd; corpus_cmd; lifetime_cmd;
+            certify_cmd; serve_cmd; loadgen_cmd; corpus_cmd; lifetime_cmd;
             bench_cmd; lint_cmd ]))

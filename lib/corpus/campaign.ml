@@ -1,56 +1,23 @@
 open Lattice
 
 (* The campaign driver: stream the free-polyomino bands, decide each
-   tile with the Beauquier-Nivat filter (searching only when the filter
-   admits it), append the verdicts to sharded segments, and checkpoint
-   after every band so a killed campaign resumes exactly where the last
-   fsync left it. *)
+   tile with [Tiling.Search.decide] (holes and the Beauquier-Nivat test
+   refute, an exact tile gets its lattice tiling and a certificate),
+   append the verdicts to sharded segments, and checkpoint after every
+   band so a killed campaign resumes exactly where the last fsync left
+   it. *)
 
-type verdict =
-  | Non_exact
-  | Exact of { tiling : Tiling.Single.t; certificate : Core.Certificate.t }
-
-(* BN is a complete decision procedure for (simply-connected 2-D)
-   polyominoes: no factorization means no translation tiling at all.
-   When a factorization exists, Wijshoff-van Leeuwen guarantees a
-   lattice tiling, and the BN translation vectors name one - validating
-   them through [Single.make] is the polynomial fast path that keeps the
-   exact-cover engine off this road entirely.  The search fallbacks can
-   only fire if the fast path's vectors were wrong, i.e. on a bug. *)
-let decide tile =
-  (* A polyomino with a hole (first at area 7) never tiles by
-     translations: a translate covering a hole cell must be disjoint
-     from the enclosing tile, so it lies entirely inside the hole - but
-     the tile's bounding box strictly contains its own hole's, so it
-     cannot fit.  BN itself needs simple connectivity (a boundary word),
-     so these are settled here. *)
-  if not (Polyomino.is_polyomino tile) then Non_exact
-  else
-  let w = Polyomino.boundary_word tile in
-  match Boundary_word.find_factorization w with
-  | None -> Non_exact
-  | Some f ->
-    let v1, v2 = Boundary_word.translation_vectors w f in
-    let tiling =
-      match
-        Tiling.Single.make ~prototile:tile ~period:(Sublattice.of_rows [ v1; v2 ])
-          ~offsets:[ Zgeom.Vec.zero 2 ]
-      with
-      | Ok t -> t
-      | Error _ -> (
-        match Tiling.Search.find_tiling tile with
-        | Some t -> t
-        | None ->
-          invalid_arg
-            ("Corpus.Campaign.decide: BN factorization found but no tiling exists for key "
-            ^ Store.key_of_prototile tile))
-    in
-    Exact { tiling; certificate = Core.Certificate.build tiling }
-
-let payload_of_verdict = function
-  | Non_exact -> ""
-  | Exact { tiling; certificate } ->
-    Core.Codec.tiling_to_string tiling ^ "\n" ^ Core.Certificate.to_string certificate
+(* The record for one enumerated tile.  Enumerated tiles are connected
+   2-D polyominoes, which [decide] always settles. *)
+let record_of_tile tile =
+  match Tiling.Search.decide tile with
+  | Tiling.Search.Non_exact _ -> (Layout.tag_non_exact, "")
+  | Tiling.Search.Exact tiling ->
+    ( Layout.tag_exact,
+      Core.Codec.tiling_to_string tiling ^ "\n"
+      ^ Core.Certificate.to_string (Core.Certificate.build tiling) )
+  | Tiling.Search.Not_found ->
+    invalid_arg ("Corpus.Campaign: undecided polyomino " ^ Store.key_of_prototile tile)
 
 type report = {
   dir : string;
@@ -167,10 +134,12 @@ let repair_segments dir m =
 
 let append_band dir m ~pool ~progress ~n tiles =
   let shards = m.Layout.shards in
-  let verdicts = Parallel.map pool (fun tile -> (Store.key_of_prototile tile, decide tile)) tiles in
+  let records =
+    Parallel.map pool (fun tile -> (Store.key_of_prototile tile, record_of_tile tile)) tiles
+  in
   let lens = Layout.shard_lengths m in
   let exact = ref 0 and non_exact = ref 0 in
-  let total = List.length verdicts in
+  let total = List.length records in
   let fds =
     Array.init shards (fun s ->
         Unix.openfile (seg_path dir s) [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644)
@@ -179,24 +148,14 @@ let append_band dir m ~pool ~progress ~n tiles =
     ~finally:(fun () -> Array.iter Unix.close fds)
     (fun () ->
       List.iteri
-        (fun i (key, verdict) ->
-          let tag =
-            match verdict with
-            | Non_exact ->
-              incr non_exact;
-              Layout.tag_non_exact
-            | Exact _ ->
-              incr exact;
-              Layout.tag_exact
-          in
-          let record =
-            Layout.encode_record ~band:n ~tag ~key ~payload:(payload_of_verdict verdict)
-          in
+        (fun i (key, (tag, payload)) ->
+          incr (if tag = Layout.tag_exact then exact else non_exact);
+          let record = Layout.encode_record ~band:n ~tag ~key ~payload in
           let s = Layout.shard_of_key ~shards key in
           write_all fds.(s) record;
           lens.(s) <- lens.(s) + String.length record;
           progress ~n ~done_:(i + 1) ~total)
-        verdicts;
+        records;
       Array.iter Unix.fsync fds);
   let band =
     { Layout.n; classes = total; exact = !exact; non_exact = !non_exact; lens }

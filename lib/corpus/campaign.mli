@@ -2,13 +2,12 @@
     decided and made durable.
 
     {!run} streams {!Lattice.Polyomino.enumerate_free_iter} band by
-    band (area [n] = one band).  Each tile is decided by {!decide}: the
-    Beauquier-Nivat factorization is the polynomial admission filter -
-    no factorization is a {e complete} refutation for polyominoes, so
-    the exact-cover machinery never runs on a non-exact tile; a
-    factorization yields translation vectors that [Single.make]
-    validates directly (Wijshoff-van Leeuwen), which is the fast path
-    that keeps search off the campaign's critical path entirely.
+    band (area [n] = one band).  Each tile is decided by
+    {!Tiling.Search.decide}: a hole or a missing Beauquier-Nivat
+    factorization is a {e complete} refutation for polyominoes, so the
+    exact-cover machinery never runs on a non-exact tile, and an exact
+    tile gets its lattice tiling (Wijshoff-van Leeuwen) and a
+    certificate - the same tiling a fresh search in the daemon finds.
     Verdict computation fans out over the {!Parallel} pool
     (deterministically - results are assembled in band order at every
     [-j]).
@@ -29,18 +28,6 @@
     [sealed] flag) happens only after the last band; growing a sealed
     corpus to a larger bound drops the seal first, so stale indexes can
     never look authoritative. *)
-
-type verdict =
-  | Non_exact  (** no BN factorization: proven untileable by translations *)
-  | Exact of { tiling : Tiling.Single.t; certificate : Core.Certificate.t }
-
-val decide : Lattice.Prototile.t -> verdict
-(** Decide one polyomino prototile (must satisfy
-    [Polyomino.is_polyomino]; enumerated tiles do). *)
-
-val payload_of_verdict : verdict -> string
-(** The segment record payload: empty for {!Non_exact}, the tiling line
-    plus the three certificate lines for {!Exact}. *)
 
 type report = {
   dir : string;

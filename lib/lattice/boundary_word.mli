@@ -51,7 +51,7 @@ val factor_words : string -> factorization -> string * string * string
 val translation_vectors : string -> factorization -> Zgeom.Vec.t * Zgeom.Vec.t
 (** Periods of the induced regular tiling: displacements of [X1 X2] and
     [X2 X3]. These two vectors generate a sublattice that tiles the plane
-    with the polyomino (used as a fast path before exhaustive search). *)
+    with the polyomino. *)
 
 val is_exact_polyomino : Prototile.t -> bool
 (** End-to-end: boundary word + BN criterion. Requires

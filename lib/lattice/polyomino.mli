@@ -40,10 +40,9 @@ val enumerate_free : int -> Prototile.t list
     congruence class (rotations, reflections, translations), each its
     own {!Symmetry.canonical} representative, sorted by
     {!Prototile.compare}.  Counts follow OEIS A000105:
-    1, 1, 2, 5, 12, 35, 108, ... for [n = 1, 2, 3, ...].  This is the
-    offline precompute pipeline's work list: every small prototile a
-    client can ask the schedule server about, enumerated once under the
-    server's own cache key.  Requires [n >= 1]. *)
+    1, 1, 2, 5, 12, 35, 108, ... for [n = 1, 2, 3, ...]: every small
+    prototile a client can ask the schedule server about, enumerated
+    once under the server's own cache key.  Requires [n >= 1]. *)
 
 val perimeter : Prototile.t -> int
 (** Number of boundary edges (cell sides adjacent to the complement). *)

@@ -102,6 +102,14 @@ let binding_name vb =
 
 let is_function e = match e.exp_desc with Texp_function _ -> true | _ -> false
 
+(* [fun ?(x = d) -> body] is typed as [fun *opt* -> let x = match *opt*
+   with Some x -> x | None -> d in body]; this is that [let]'s binding. *)
+let is_default_binding vb =
+  match vb.vb_expr.exp_desc with
+  | Texp_match ({ exp_desc = Texp_ident (Path.Pident id, _, _); _ }, _, _) ->
+    Ident.name id = "*opt*"
+  | _ -> false
+
 (* May evaluating [e] raise?  [locals] maps local lambda names to their
    summaries; a name being summarized is pre-seeded as non-raising so
    self-recursion does not poison its own summary. *)
@@ -911,6 +919,7 @@ let r7_check_binding ctx vb =
   let rec analyze_root e =
     match e.exp_desc with
     | Texp_function { cases; _ } -> List.iter (fun c -> analyze_root c.c_rhs) cases
+    | Texp_let (_, [ d ], body) when is_default_binding d -> analyze_root body
     | _ -> ignore (walk S.empty S.empty e)
   in
   analyze_root vb.vb_expr

@@ -230,10 +230,10 @@ let run_corpus ~quota ~exe:_ =
           let key = Store.key_of_prototile tile in
           keys := key :: !keys;
           Store.put store key
-            (match Corpus.Campaign.decide tile with
-            | Corpus.Campaign.Non_exact -> Store.No_tiling
-            | Corpus.Campaign.Exact { tiling; certificate } ->
-              Store.Found { tiling; certificate }));
+            (match Tiling.Search.decide tile with
+            | Tiling.Search.Exact tiling ->
+              Store.Found { tiling; certificate = Core.Certificate.build tiling }
+            | Tiling.Search.Non_exact _ | Tiling.Search.Not_found -> Store.No_tiling));
       Store.close store;
       let keys = Array.of_list (List.rev !keys) in
       let snap =

@@ -172,11 +172,21 @@ let render_binary ids resps =
     ids resps;
   Buffer.contents buf
 
+(* A listening socket bound at [path], closed again if binding fails. *)
+let listen_unix path =
+  let srv = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  match
+    Unix.bind srv (Unix.ADDR_UNIX path);
+    Unix.listen srv 1024
+  with
+  | () -> srv
+  | exception e ->
+    Unix.close srv;
+    raise e
+
 let serve_unix ?(idle_timeout = 0.) engine ~path =
   if Sys.file_exists path then Sys.remove path;
-  let srv = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind srv (Unix.ADDR_UNIX path);
-  Unix.listen srv 1024;
+  let srv = listen_unix path in
   let bridge = Bridge.create () in
   let fast_hits = Atomic.make 0 in
   let corpus = Engine.corpus engine in

@@ -38,7 +38,7 @@ type server_stats = {
 }
 
 (** Which amortization tier settled a tile reply - the observability
-    marker behind the warm-start acceptance check ("after [precompute],
+    marker behind the warm-start acceptance check ("on a warmed store,
     every small query answers [store], never [fresh]").  [None] on lines
     from servers predating the marker; the codec treats the field as
     optional in both directions, so old-format lines still round-trip. *)

@@ -1,6 +1,4 @@
 (* Library root: the persistent certificate store's API lives directly
-   on [Store] ([Store.open_] / [Store.find] / [Store.put]), with the
-   offline producer as a submodule. *)
+   on [Store] ([Store.open_] / [Store.find] / [Store.put]). *)
 
-module Precompute = Precompute
 include Log

@@ -2,10 +2,7 @@
 
     The store's API lives directly on [Store] ({!open_} / {!find} /
     {!put} - see {!Log} for the full documentation of the on-disk
-    format, the recovery invariant, and compaction), with the offline
-    producer exposed as {!Precompute}. *)
-
-module Precompute = Precompute
+    format, the recovery invariant, and compaction). *)
 
 include module type of struct
   include Log

@@ -844,8 +844,28 @@ let cover_region ~region ~prototile ?torus ?(max_solutions = 64) ?keep () =
   go (Bitset.create n) (Bitset.full npl) [];
   List.rev !sols
 
-let exactness ?(torus_factors = default_factors) p =
-  if Prototile.dim p = 2 && Polyomino.is_polyomino p then
-    if Boundary_word.is_exact_polyomino p then `Exact else `NotExact
-  else if find_tiling ~torus_factors p <> None then `Exact
-  else `Unknown
+type verdict =
+  | Exact of Single.t
+  | Non_exact of [ `Hole | `No_bn_factorization ]
+  | Not_found
+
+(* A connected tile with a hole never tiles by translations: a translate
+   covering a hole cell is disjoint from the enclosing tile, so it lies
+   inside the hole - but the tile's bounding box strictly contains its
+   own hole's.  Hole-free polyominoes are settled by BN; an exact one
+   has a lattice tiling (Wijshoff-van Leeuwen), which is [find_tiling]'s
+   first stage, so the answer is [find_tiling]'s by construction. *)
+let decide p =
+  if Prototile.dim p = 2 && Polyomino.is_connected p then
+    if Polyomino.has_holes p then Non_exact `Hole
+    else if not (Boundary_word.is_exact_polyomino p) then Non_exact `No_bn_factorization
+    else
+      match find_lattice_tiling p with
+      | Some t -> Exact t
+      | None ->
+        invalid_arg ("Search.decide: BN-exact polyomino without a lattice tiling: "
+                     ^ Prototile.to_string p)
+  else match find_tiling p with Some t -> Exact t | None -> Not_found
+
+let exactness p =
+  match decide p with Exact _ -> `Exact | Non_exact _ -> `NotExact | Not_found -> `Unknown

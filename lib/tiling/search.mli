@@ -9,11 +9,11 @@
       [Z^d / Lambda], finding every periodic tiling with that period
       (including multi-prototile and non-lattice ones, e.g. the S/Z mix of
       Figure 5).
-    - {!exactness}: the decision procedure. For simply-connected 2-D
+    - {!decide}: the decision procedure. For simply-connected 2-D
       polyominoes the Beauquier-Nivat criterion is complete
       (together with Wijshoff-van Leeuwen's periodicity theorem); for
       arbitrary prototiles we search periods up to a bounded index
-      multiple and report [`Unknown] on exhaustion - the general problem
+      multiple and report [Not_found] on exhaustion - the general problem
       is open, and even prime-size prototiles can require non-lattice
       translation sets (e.g. [{0, 2}] in [Z] tiles only with
       [T = {0,1} + 4Z]). *)
@@ -191,12 +191,26 @@ val find_tiling :
     index [f * |N|] for [f] in [torus_factors].  Later stages are not
     run once one answers. *)
 
-val exactness :
-  ?torus_factors:int list ->
-  Lattice.Prototile.t ->
-  [ `Exact | `NotExact | `Unknown ]
-(** Complete for 2-D simply-connected polyominoes (BN criterion);
-    otherwise a bounded search that can return [`Unknown]. *)
+type verdict =
+  | Exact of Single.t
+  | Non_exact of [ `Hole | `No_bn_factorization ]
+      (** proved: a connected 2-D tile with a hole, or a hole-free
+          polyomino whose boundary word has no Beauquier-Nivat
+          factorization *)
+  | Not_found  (** {!find_tiling} exhausted its stages; not a proof *)
+
+val decide : Lattice.Prototile.t -> verdict
+(** The decision procedure for one prototile.  A connected 2-D tile
+    with a hole is [Non_exact `Hole]; a hole-free polyomino is decided
+    by the BN criterion, complete here by Wijshoff-van Leeuwen, and an
+    exact one gets the lattice stage's tiling ([Invalid_argument] if
+    that stage finds none, which the theorem rules out).  Every other
+    tile gets {!find_tiling}'s answer, [Not_found] when it has none.
+    The tiling is therefore always {!find_tiling}'s. *)
+
+val exactness : Lattice.Prototile.t -> [ `Exact | `NotExact | `Unknown ]
+(** {!decide}'s verdict without the tiling: [`NotExact] is a proof,
+    [`Unknown] a bounded search that found nothing. *)
 
 val find_respectable :
   ?torus_factors:int list ->

@@ -110,8 +110,8 @@ let test_snapshot_lookup_and_verify () =
           | None -> Alcotest.failf "area-%d key not found: %s" area key
           | Some hit -> (
             Alcotest.(check int) "band is the tile's area" area (Snapshot.band snap hit);
-            match (Snapshot.verdict snap hit, Campaign.decide t) with
-            | `Exact, Campaign.Exact { tiling; _ } -> (
+            match (Snapshot.verdict snap hit, Tiling.Search.decide t) with
+            | `Exact, Tiling.Search.Exact tiling -> (
               match Snapshot.entry snap hit with
               | Ok (Some (tl, cert)) ->
                 Alcotest.(check string) "stored tiling is the decided one"
@@ -123,7 +123,7 @@ let test_snapshot_lookup_and_verify () =
                   Alcotest.failf "stored certificate rejected: %a" Core.Certificate.pp_failure f)
               | Ok None -> Alcotest.fail "exact hit decoded as non-exact"
               | Error e -> Alcotest.fail e)
-            | `Non_exact, Campaign.Non_exact ->
+            | `Non_exact, Tiling.Search.Non_exact _ ->
               Alcotest.(check string) "non-exact payload is empty" ""
                 (Snapshot.payload snap hit)
             | _ -> Alcotest.failf "snapshot and decide disagree on %s" key));
@@ -197,7 +197,7 @@ let test_engine_corpus_tier () =
       (* A BN-refuted pentomino answers no-tiling from the corpus. *)
       let non_exact =
         List.find
-          (fun t -> match Campaign.decide t with Campaign.Non_exact -> true | _ -> false)
+          (fun t -> match Tiling.Search.decide t with Tiling.Search.Non_exact _ -> true | _ -> false)
           (Polyomino.enumerate_free 5)
       in
       (match Engine.handle e (Protocol.Tile_search non_exact) with
@@ -245,11 +245,12 @@ let test_protocol_corpus_fields () =
 
 (* ---------- differential oracle ---------- *)
 
-(* The BN filter is a complete decision procedure for polyominoes
-   (holes included, which the campaign settles directly); the search is
-   an independent implementation of the same question.  Every class up
-   to area 8 must get the same verdict from both, and the totals pin
-   the committed EXPERIMENTS table. *)
+(* [decide] answers a polyomino with a hole check and the BN test, and
+   takes its tiling from the lattice stage; [find_tiling] is an
+   independent route to the same question that never looks at the
+   boundary word.  Every class up to area 8 must get the same answer
+   from both - the same tiling for an exact class, none for a
+   non-exact one - and the totals pin the committed EXPERIMENTS table. *)
 let test_bn_differential_oracle () =
   let pool = Parallel.create ~jobs:4 in
   Fun.protect
@@ -257,25 +258,29 @@ let test_bn_differential_oracle () =
     (fun () ->
       let tiles = ref [] in
       Polyomino.enumerate_free_iter ~max_area:8 (fun ~area:_ t -> tiles := t :: !tiles);
+      let show = Option.fold ~none:"none" ~some:Core.Codec.tiling_to_string in
       let results =
         Parallel.map pool
           (fun t ->
-            let bn =
-              match Campaign.decide t with
-              | Campaign.Non_exact -> false
-              | Campaign.Exact _ -> true
+            let decided =
+              match Tiling.Search.decide t with
+              | Tiling.Search.Exact tiling -> Some tiling
+              | Tiling.Search.Non_exact _ -> None
+              | Tiling.Search.Not_found ->
+                Alcotest.failf "%s left undecided" (Store.key_of_prototile t)
             in
-            (Store.key_of_prototile t, bn, Option.is_some (Tiling.Search.find_tiling t)))
+            (Store.key_of_prototile t, show decided, show (Tiling.Search.find_tiling t)))
           (List.rev !tiles)
       in
       List.iter
-        (fun (key, bn, ground) ->
-          if bn <> ground then
-            Alcotest.failf "BN disagrees with the search on %s (bn=%b search=%b)" key bn ground)
+        (fun (key, decided, searched) ->
+          if decided <> searched then
+            Alcotest.failf "decide disagrees with find_tiling on %s (decide=%s search=%s)" key
+              decided searched)
         results;
       Alcotest.(check int) "classes up to area 8" 533 (List.length results);
       Alcotest.(check int) "exact classes up to area 8" 204
-        (List.length (List.filter (fun (_, bn, _) -> bn) results)))
+        (List.length (List.filter (fun (_, decided, _) -> decided <> "none") results)))
 
 let () =
   Alcotest.run "corpus"

@@ -337,27 +337,39 @@ let test_r4_clean () =
 
 (* ---------- R6: lock discipline ---------- *)
 
+(* Each body is checked as written and again behind an optional
+   argument: [fun ?(spare = 0) ...] is typed as [fun *opt* -> let spare
+   = ... in fun ...], so the walkers must look through that binding. *)
+let with_optional ~name ~params body =
+  [ ("plain", Printf.sprintf "let %s %s =\n%s" name params body);
+    ( "optional argument",
+      Printf.sprintf "let %s ?(spare = 0) %s =\n  ignore spare;\n%s" name params body ) ]
+
 let test_r6_lock_leak_on_raise () =
   (* The callee between lock and unlock can raise; the Parsetree layer
      cannot see that, the typed walker must. *)
-  let report =
-    scan
-      [
-        ( "lib/parallel/guard.ml",
-          "let with_lock m f =\n\
-          \  Mutex.lock m;\n\
-          \  let r = f () in\n\
-          \  Mutex.unlock m;\n\
-          \  r\n" );
-        ("lib/parallel/guard.mli", "val with_lock : Mutex.t -> (unit -> 'a) -> 'a\n");
-      ]
-  in
-  check_rule_count "unprotected raise window" "R6" 1 report;
-  match by_rule "R6" report with
-  | [ f ] ->
-    Alcotest.(check bool) "names the raising call and the lock" true
-      (contains ~needle:"f can raise while m is held" f.Lint.Finding.message)
-  | _ -> Alcotest.fail "expected one R6 finding"
+  List.iter
+    (fun (variant, src) ->
+      let report =
+        scan
+          [
+            ("lib/parallel/guard.ml", src);
+            ( "lib/parallel/guard.mli",
+              if variant = "plain" then "val with_lock : Mutex.t -> (unit -> 'a) -> 'a\n"
+              else "val with_lock : ?spare:int -> Mutex.t -> (unit -> 'a) -> 'a\n" );
+          ]
+      in
+      check_rule_count (variant ^ ": unprotected raise window") "R6" 1 report;
+      match by_rule "R6" report with
+      | [ f ] ->
+        Alcotest.(check bool) (variant ^ ": names the raising call and the lock") true
+          (contains ~needle:"f can raise while m is held" f.Lint.Finding.message)
+      | _ -> Alcotest.fail "expected one R6 finding")
+    (with_optional ~name:"with_lock" ~params:"m f"
+       "  Mutex.lock m;\n\
+       \  let r = f () in\n\
+       \  Mutex.unlock m;\n\
+       \  r\n")
 
 let test_r6_fun_protect_clean () =
   let report =
@@ -409,41 +421,38 @@ let test_r6_out_of_scope () =
 
 (* ---------- R7: resource lifetime ---------- *)
 
+let peek_mli variant =
+  if variant = "plain" then "val peek : string -> string\n"
+  else "val peek : ?spare:int -> string -> string\n"
+
 let test_r7_fd_leak_on_raise () =
-  let report =
-    scan
-      [
-        ( "lib/store/peek.ml",
-          "let peek path =\n\
-          \  let ic = open_in_bin path in\n\
-          \  let s = really_input_string ic 4 in\n\
-          \  close_in ic;\n\
-          \  s\n" );
-        ("lib/store/peek.mli", "val peek : string -> string\n");
-      ]
-  in
-  check_rule_count "read can raise before the close" "R7" 1 report;
-  match by_rule "R7" report with
-  | [ f ] ->
-    Alcotest.(check int) "anchored at the open" 2 f.Lint.Finding.line;
-    Alcotest.(check bool) "cites the raising call" true
-      (contains ~needle:"really_input_string" f.Lint.Finding.message)
-  | _ -> Alcotest.fail "expected one R7 finding"
+  List.iter
+    (fun (variant, src) ->
+      let report = scan [ ("lib/store/peek.ml", src); ("lib/store/peek.mli", peek_mli variant) ] in
+      check_rule_count (variant ^ ": read can raise before the close") "R7" 1 report;
+      match by_rule "R7" report with
+      | [ f ] ->
+        Alcotest.(check int) (variant ^ ": anchored at the open")
+          (if variant = "plain" then 2 else 3) f.Lint.Finding.line;
+        Alcotest.(check bool) (variant ^ ": cites the raising call") true
+          (contains ~needle:"really_input_string" f.Lint.Finding.message)
+      | _ -> Alcotest.fail "expected one R7 finding")
+    (with_optional ~name:"peek" ~params:"path"
+       "  let ic = open_in_bin path in\n\
+       \  let s = really_input_string ic 4 in\n\
+       \  close_in ic;\n\
+       \  s\n")
 
 let test_r7_fun_protect_clean () =
-  let report =
-    scan
-      [
-        ( "lib/store/peek.ml",
-          "let peek path =\n\
-          \  let ic = open_in_bin path in\n\
-          \  Fun.protect\n\
-          \    ~finally:(fun () -> close_in_noerr ic)\n\
-          \    (fun () -> really_input_string ic 4)\n" );
-        ("lib/store/peek.mli", "val peek : string -> string\n");
-      ]
-  in
-  check_rule_count "protected read is clean" "R7" 0 report
+  List.iter
+    (fun (variant, src) ->
+      let report = scan [ ("lib/store/peek.ml", src); ("lib/store/peek.mli", peek_mli variant) ] in
+      check_rule_count (variant ^ ": protected read is clean") "R7" 0 report)
+    (with_optional ~name:"peek" ~params:"path"
+       "  let ic = open_in_bin path in\n\
+       \  Fun.protect\n\
+       \    ~finally:(fun () -> close_in_noerr ic)\n\
+       \    (fun () -> really_input_string ic 4)\n")
 
 let test_r7_mmap_without_close () =
   let report =

@@ -249,11 +249,15 @@ let orientations tile =
   rots 4 tile @ rots 4 (Prototile.reflect tile)
 
 let test_warm_store_answers_without_search () =
+  let classes = List.concat_map Polyomino.enumerate_free [ 1; 2; 3; 4 ] in
+  Alcotest.(check int) "canonical classes up to area 4" 9 (List.length classes);
   with_temp_store (fun path ->
+      (* Fill the store through the engine's write-through: one fresh
+         search per class. *)
       let store = Store.open_ path in
-      let report = Store.Precompute.run ~store ~max_area:4 () in
-      Alcotest.(check int) "canonical classes up to area 4" 9 report.Store.Precompute.classes;
-      Alcotest.(check int) "nothing skipped on a fresh store" 0 report.Store.Precompute.skipped;
+      let e = Engine.create ~store () in
+      List.iter (fun tile -> ignore (Engine.handle e (Protocol.Tile_search tile))) classes;
+      Alcotest.(check int) "one search per class" 9 (Engine.stats e).Protocol.searches;
       Store.close store;
       (* The acceptance bar: a fresh daemon on the warmed store answers
          every area-<=4 query, in any orientation, without searching. *)
@@ -274,21 +278,10 @@ let test_warm_store_answers_without_search () =
                   | None -> "none")
               | _ -> Alcotest.fail "expected a tile verdict")
             (orientations tile))
-        (Store.Precompute.tiles_up_to 4);
+        classes;
       let s = Engine.stats e in
       Alcotest.(check int) "zero searches on a warm store" 0 s.Protocol.searches;
       Alcotest.(check bool) "store tier was exercised" true (s.Protocol.store_hits > 0);
-      Store.close store)
-
-let test_precompute_skips_settled () =
-  with_temp_store (fun path ->
-      let store = Store.open_ path in
-      let r1 = Store.Precompute.run ~store ~max_area:3 () in
-      let r2 = Store.Precompute.run ~store ~max_area:3 () in
-      Alcotest.(check int) "first run settles everything" 0 r1.Store.Precompute.skipped;
-      Alcotest.(check int) "second run searches nothing"
-        r2.Store.Precompute.classes r2.Store.Precompute.skipped;
-      Alcotest.(check int) "no new tilings" 0 r2.Store.Precompute.found;
       Store.close store)
 
 (* Write-through leaves nothing held by the memory tier alone: after
@@ -355,8 +348,6 @@ let () =
             test_engine_source_tiers;
           Alcotest.test_case "warm store answers without searching" `Slow
             test_warm_store_answers_without_search;
-          Alcotest.test_case "precompute skips settled classes" `Quick
-            test_precompute_skips_settled;
           Alcotest.test_case "every LRU key is in the store" `Quick
             test_lru_keys_in_store;
         ] );

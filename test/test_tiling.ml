@@ -334,7 +334,11 @@ let test_exactness_decisions () =
   check "{0,2} 1-D exact (torus search)" `Exact
     (Prototile.of_cells [ Vec.of_list [ 0 ]; Vec.of_list [ 2 ] ]);
   check "diagonal pair exact" `Exact
-    (Prototile.of_cells [ Vec.make2 0 0; Vec.make2 1 1 ])
+    (Prototile.of_cells [ Vec.make2 0 0; Vec.make2 1 1 ]);
+  check "holey heptomino not exact" `NotExact
+    (Prototile.of_cells
+       (List.map (fun (x, y) -> Vec.make2 x y)
+          [ (0, 0); (1, 0); (2, 0); (0, 1); (2, 1); (0, 2); (1, 2) ]))
 
 let test_3d_box_tiles () =
   let p =
@@ -611,6 +615,8 @@ let eager_find_tiling p =
   in
   match lattice @ torus with [] -> None | t :: _ -> Some t
 
+(* [decide] answers with [find_tiling]'s tiling on every input, and
+   refutes the holey polyominoes by their hole. *)
 let test_find_tiling_is_head_of_enumeration () =
   let rng = Prng.Xoshiro.create 2028L in
   let polys = List.init 28 (fun i -> Randomtile.polyomino rng ~cells:(1 + (i mod 7))) in
@@ -621,17 +627,35 @@ let test_find_tiling_is_head_of_enumeration () =
       cells [ (0, 0); (2, 0); (0, 2); (2, 2) ];
       cells [ (0, 0); (1, 0); (-1, 1); (0, 1); (0, 2) ] ]
   in
+  let holey =
+    [ cells [ (0, 0); (1, 0); (2, 0); (0, 1); (2, 1); (0, 2); (1, 2) ];
+      cells [ (0, 0); (1, 0); (2, 0); (0, 1); (2, 1); (0, 2); (1, 2); (2, 2) ] ]
+  in
   let key =
     Option.map (fun t ->
         (Sublattice.generators (Tiling.Single.period t), Tiling.Single.offsets t))
   in
   List.iter
     (fun p ->
+      let found = Tiling.Search.find_tiling p in
       Alcotest.(check bool)
         (Prototile.to_string p ^ ": find_tiling = head of the eager enumeration")
         true
-        (key (Tiling.Search.find_tiling p) = key (eager_find_tiling p)))
-    (fixed @ polys @ sparse)
+        (key found = key (eager_find_tiling p));
+      let decided =
+        match Tiling.Search.decide p with Tiling.Search.Exact t -> Some t | _ -> None
+      in
+      Alcotest.(check bool)
+        (Prototile.to_string p ^ ": decide = find_tiling")
+        true
+        (key decided = key found))
+    (fixed @ holey @ polys @ sparse);
+  List.iter
+    (fun p ->
+      match Tiling.Search.decide p with
+      | Tiling.Search.Non_exact `Hole -> ()
+      | _ -> Alcotest.failf "%s: not refuted by its hole" (Prototile.to_string p))
+    holey
 
 let qc = QCheck_alcotest.to_alcotest
 

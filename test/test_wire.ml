@@ -419,9 +419,9 @@ let same_tiling a b =
    (the engine's [Tiling_raw_r] splice); all three must carry the same
    verdict and tiling.  A rotated orientation (the engine transports
    the corpus entry) must give the same tiling in both dialects.  An
-   in-process engine without a corpus searches both orientations; it
-   may pick a different lattice than the corpus stores, so it is held
-   to the verdict. *)
+   in-process engine without a corpus searches both orientations and
+   must give the same tiling too: the corpus stores [decide]'s tiling,
+   which is the search's first hit. *)
 let test_reply_paths_agree () =
   let dir = Filename.temp_file "tilesched-wire-corpus" "" in
   Sys.remove dir;
@@ -462,28 +462,27 @@ let test_reply_paths_agree () =
             | Some Protocol.Fresh, t | Some Protocol.Memory, t -> t
             | _ -> Alcotest.failf "fresh %s: not answered by a search" name
           in
+          let same route ~what a b =
+            match (a, b) with
+            | None, None -> ()
+            | Some a, Some b when same_tiling a b -> ()
+            | _ -> Alcotest.failf "%s %s: reply differs from %s" route name what
+          in
           let agree route ~reference (source, tiling) =
             if source <> Some Protocol.Corpus then
               Alcotest.failf "%s %s: not answered from the corpus" route name;
-            match (reference, tiling) with
-            | None, None -> ()
-            | Some a, Some b when same_tiling a b -> ()
-            | _ -> Alcotest.failf "%s %s: reply differs from the text reply" route name
-          in
-          let same_verdict route a b =
-            if Option.is_some a <> Option.is_some b then
-              Alcotest.failf "%s %s: verdict differs from a fresh search" route name
+            same route ~what:"the text reply" reference tiling
           in
           let first = binary "binary" canon in
           let second = binary "binary pre-decode" canon in
           let _, reference = text "text" canon in
           agree "binary" ~reference first;
           agree "binary pre-decode" ~reference second;
-          same_verdict "text" reference (searched canon);
+          same "text" ~what:"a fresh search" reference (searched canon);
           let rotated = Prototile.rot90 canon in
           let _, rot_reference = text "text rotated" rotated in
           agree "binary rotated" ~reference:rot_reference (binary "binary rotated" rotated);
-          same_verdict "text rotated" rot_reference (searched rotated);
+          same "text rotated" ~what:"a fresh search" rot_reference (searched rotated);
           Option.iter
             (fun t ->
               if not (Prototile.equal (Tiling.Single.prototile t) rotated) then
