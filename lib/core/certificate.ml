@@ -21,21 +21,20 @@ let pp_failure fmt = function
     Format.fprintf fmt "positions %a and %a do not interfere" Vec.pp u Vec.pp v
   | Not_collision_free v -> Format.fprintf fmt "schedule collides: %a" Collision.pp_violation v
 
-let ranges_intersect n u v =
-  Vec.Set.exists (fun a -> Vec.Set.mem (Vec.add u a) (Prototile.translate v n)) (Prototile.cell_set n)
-
 let check cert =
   let m = Schedule.num_slots cert.schedule in
   if List.length cert.clique <> m then
     Error (Wrong_clique_size (m, List.length cert.clique))
   else begin
+    let diff = Prototile.difference_set cert.prototile in
     (* Lower bound: every pair in the clique must interfere (so m slots
-       are necessary for these positions alone). *)
+       are necessary for these positions alone).  The ranges [u + N] and
+       [v + N] meet iff [v - u] lies in [N - N], so each pair costs one
+       difference-set lookup. *)
     let rec pairwise = function
       | [] -> Ok ()
-      | u :: rest ->
-        let bad = List.find_opt (fun v -> not (ranges_intersect cert.prototile u v)) rest in
-        (match bad with
+      | u :: rest -> (
+        match List.find_opt (fun v -> not (Vec.Set.mem (Vec.sub v u) diff)) rest with
         | Some v -> Error (Not_a_clique (u, v))
         | None -> pairwise rest)
     in
@@ -45,10 +44,7 @@ let check cert =
       (* Upper bound: the schedule must be collision-free; recheck from
          scratch with the exact periodic checker. *)
       match
-        Collision.violations
-          ~neighborhoods:(fun _ -> cert.prototile)
-          ~diff_bound:(Prototile.difference_set cert.prototile)
-          cert.schedule
+        Collision.violations ~neighborhoods:(fun _ -> cert.prototile) ~diff_bound:diff cert.schedule
       with
       | [] -> Ok ()
       | v :: _ -> Error (Not_collision_free v))

@@ -10,10 +10,19 @@
       [m] slots force two clique members into one slot, colliding at the
       witness - the proof of Theorem 1, made concrete).
 
-    [check] re-verifies everything from first principles: witnesses are
-    recomputed from raw set arithmetic, collision-freeness by the exact
-    periodic check.  Certificates serialize via {!to_string} so they can
-    accompany a deployed schedule. *)
+    [check] re-verifies everything from first principles, trusting
+    nothing but [N]:
+    - the clique, through the identity
+      [(u + N) n (v + N) <> 0 <=> v - u in N - N]: one lookup in the
+      difference set per pair, no translated sets;
+    - the schedule, by {!Collision.violations}: every coset of the
+      period against every non-zero difference in [N - N], comparing
+      slots through the schedule's per-coset slot table and coset ids
+      added on plain ints.  A witness point is built only for a pair
+      that shares a slot, so an honest certificate allocates nothing
+      per pair.
+    Certificates serialize via {!to_string} so they can accompany a
+    deployed schedule. *)
 
 type t = {
   prototile : Lattice.Prototile.t;

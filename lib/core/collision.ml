@@ -24,26 +24,41 @@ let range_witness na u nb v =
         if Vec.Set.mem w rb then Some w else None)
     (Prototile.cell_set na) None
 
+(* The scan runs on coset ids: [u] ranges over the ids [0 .. index - 1]
+   in [Sublattice.cosets] order, each non-zero difference [d] maps it to
+   [u + d] through a table of translated ids, and slots are read from
+   the schedule's table, so the scan allocates nothing until two cosets
+   share a slot.  Only then are the representatives, the neighborhoods
+   and the witness built, exactly as a pairwise set computation would. *)
 let violations ~neighborhoods ~diff_bound schedule =
   let period = Schedule.period schedule in
+  let diffs =
+    Array.of_list (List.filter (fun d -> not (Vec.is_zero d)) (Vec.Set.elements diff_bound))
+  in
+  (* A translation's table depends only on the coset of the difference,
+     so differences that are congruent share one. *)
+  let tables = Array.make (Sublattice.index period) [||] in
+  let shifts =
+    Array.map
+      (fun d ->
+        let c = Sublattice.coset_id period d in
+        if Array.length tables.(c) = 0 then tables.(c) <- Sublattice.translate_ids period d;
+        tables.(c))
+      diffs
+  in
   let out = ref [] in
-  List.iter
-    (fun u ->
-      let su = Schedule.slot_at schedule u in
-      let nu = neighborhoods u in
-      Vec.Set.iter
-        (fun d ->
-          if not (Vec.is_zero d) then begin
-            let v = Vec.add u d in
-            if Schedule.slot_at schedule v = su then begin
-              let nv = neighborhoods v in
-              match range_witness nu u nv v with
-              | Some w -> out := { sender_a = u; sender_b = v; slot = su; witness = w } :: !out
-              | None -> ()
-            end
-          end)
-        diff_bound)
-    (Sublattice.cosets period);
+  for id = 0 to Sublattice.index period - 1 do
+    let su = Schedule.slot_of_id schedule id in
+    for k = 0 to Array.length diffs - 1 do
+      if Schedule.slot_of_id schedule shifts.(k).(id) = su then begin
+        let u = Sublattice.coset_of_id period id in
+        let v = Vec.add u diffs.(k) in
+        match range_witness (neighborhoods u) u (neighborhoods v) v with
+        | Some w -> out := { sender_a = u; sender_b = v; slot = su; witness = w } :: !out
+        | None -> ()
+      end
+    done
+  done;
   List.rev !out
 
 let violations_theorem1 tiling schedule =

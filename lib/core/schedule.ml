@@ -41,6 +41,7 @@ let of_multi multi =
 let num_slots t = t.num_slots
 let period t = t.period
 let slot_at t v = t.table.(Sublattice.coset_id t.period v)
+let slot_of_id t id = t.table.(id)
 
 let ( %+ ) a m =
   let r = a mod m in

@@ -38,6 +38,10 @@ val period : t -> Lattice.Sublattice.t
 
 val slot_at : t -> Zgeom.Vec.t -> int
 
+val slot_of_id : t -> int -> int
+(** The slot table read directly: [slot_of_id s (Sublattice.coset_id
+    (period s) v) = slot_at s v], for coset ids in [\[0, index)]. *)
+
 val may_send : t -> Zgeom.Vec.t -> time:int -> bool
 (** [may_send s v ~time] iff [time mod m = slot_at s v] (time may be any
     integer; negative times follow the same period). *)

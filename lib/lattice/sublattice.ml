@@ -58,6 +58,52 @@ let coset_id t v =
   done;
   !id
 
+(* Integer coset arithmetic.  A coset id is the mixed-radix rank of the
+   reduced representative (last coordinate least significant). *)
+let coset_of_id t id =
+  assert (0 <= id && id < index t);
+  let x = Array.make t.dim 0 in
+  let r = ref id in
+  for i = t.dim - 1 downto 0 do
+    x.(i) <- !r mod t.diag.(i);
+    r := !r / t.diag.(i)
+  done;
+  Vec.of_array x
+
+(* Walk the box with an odometer [r] (coset [k]'s coordinates), add [d]
+   and run [reduce]'s triangular sweep on the sum, encoding the id as
+   each coordinate settles. *)
+let translate_ids t d =
+  let d = Vec.to_array d in
+  assert (Array.length d = t.dim);
+  let n = index t in
+  let r = Array.make t.dim 0 in
+  let x = Array.make t.dim 0 in
+  let out = Array.make n 0 in
+  for k = 0 to n - 1 do
+    for i = 0 to t.dim - 1 do
+      x.(i) <- r.(i) + d.(i)
+    done;
+    let id = ref 0 in
+    for i = 0 to t.dim - 1 do
+      let q = fdiv x.(i) t.diag.(i) in
+      if q <> 0 then
+        for j = i to t.dim - 1 do
+          x.(j) <- x.(j) - (q * t.hnf.(i).(j))
+        done;
+      id := (!id * t.diag.(i)) + x.(i)
+    done;
+    out.(k) <- !id;
+    (* Next coset: increment the last coordinate, carrying leftwards. *)
+    let i = ref (t.dim - 1) in
+    while !i >= 0 && r.(!i) = t.diag.(!i) - 1 do
+      r.(!i) <- 0;
+      decr i
+    done;
+    if !i >= 0 then r.(!i) <- r.(!i) + 1
+  done;
+  out
+
 let cosets t =
   (* Mixed-radix counting over the HNF box, lexicographic. *)
   let rec go i prefix =

@@ -51,6 +51,17 @@ val coset_id : t -> Zgeom.Vec.t -> int
 (** Dense index in [\[0, index)] of the argument's coset; the mixed-radix
     rank of {!reduce} in the HNF box. Constant-time given [reduce]. *)
 
+val coset_of_id : t -> int -> Zgeom.Vec.t
+(** The canonical representative of the coset with this id: the inverse
+    of {!coset_id} on [\[0, index)], so [coset_of_id t k] is the [k]-th
+    element of {!cosets}. *)
+
+val translate_ids : t -> Zgeom.Vec.t -> int array
+(** [translate_ids t d] is translation by [d] on coset ids: the array
+    whose [k]-th entry is [coset_id t (coset_of_id t k + d)], for [k] in
+    [\[0, index)].  Built on plain ints in one pass over the quotient,
+    so a hot loop can translate cosets by [d] with one array read. *)
+
 val snf_divisors : t -> int list
 (** Invariant factors [d1 | d2 | ...] of [Z^d / Lambda]
     (Smith normal form diagonal). *)

@@ -48,9 +48,6 @@ let add_corpus_hits t n =
   t.corpus_hits <- t.corpus_hits + n;
   t.served <- t.served + n
 
-let canonical_key tile =
-  Core.Codec.vecs_to_string (Prototile.cells (Symmetry.canonical tile))
-
 let stats t : Protocol.server_stats =
   let cache_hits, cache_misses, cache_evictions = Cache.counters t.cache in
   { served = t.served; overloaded = t.overloaded; errors = t.errors; searches = t.searches;

@@ -41,8 +41,6 @@
     {e not} cached (a later retry may succeed), while a completed search
     that proves no tiling exists caches [No_tiling]. *)
 
-open Lattice
-
 type t
 
 val create :
@@ -83,6 +81,3 @@ val add_corpus_hits : t -> int -> unit
     Must be called from the thread that runs {!handle_batch}; the
     counters are not atomic. *)
 
-val canonical_key : Prototile.t -> string
-(** The cache key: the canonical form's cell list, encoded.  Exposed for
-    tests and diagnostics. *)

@@ -1,37 +1,42 @@
 open Zgeom
 open Lattice
 
+(* [lam] has index [|cells|]; the cells tile by it iff they are pairwise
+   non-congruent, i.e. hit every coset once. *)
+let complete_residues cells lam =
+  let seen = Array.make (Sublattice.index lam) false in
+  List.for_all
+    (fun n ->
+      let id = Sublattice.coset_id lam n in
+      if seen.(id) then false
+      else begin
+        seen.(id) <- true;
+        true
+      end)
+    cells
+
 let lattice_tilings ?pool p =
   let pool = match pool with Some pl -> pl | None -> Parallel.default () in
   let d = Prototile.dim p in
-  let m = Prototile.size p in
   let cells = Prototile.cells p in
-  let complete_residues lam =
-    let seen = Hashtbl.create m in
-    List.for_all
-      (fun n ->
-        let id = Sublattice.coset_id lam n in
-        if Hashtbl.mem seen id then false
-        else begin
-          Hashtbl.add seen id ();
-          true
-        end)
-      cells
-  in
   (* One task per HNF diagonal family; concatenating in diagonal order is
      exactly the sequential [all_of_index] enumeration.  Families differ
      wildly in size, which the stealing scheduler balances. *)
   Parallel.concat_map pool
-    (fun diag -> List.filter complete_residues (Sublattice.all_with_diagonal ~dim:d diag))
-    (Sublattice.hnf_diagonals ~dim:d m)
+    (fun diag -> List.filter (complete_residues cells) (Sublattice.all_with_diagonal ~dim:d diag))
+    (Sublattice.hnf_diagonals ~dim:d (Prototile.size p))
 
+(* The head of [lattice_tilings], found sequentially: families are
+   generated one at a time in [all_of_index] order and the walk stops at
+   the first lattice the cells tile. *)
 let find_lattice_tiling p =
-  match lattice_tilings p with
-  | [] -> None
-  | lam :: _ -> (
-    match Single.lattice_tiling p lam with
-    | Ok t -> Some t
-    | Error _ -> assert false)
+  let d = Prototile.dim p in
+  let cells = Prototile.cells p in
+  List.to_seq (Sublattice.hnf_diagonals ~dim:d (Prototile.size p))
+  |> Seq.concat_map (fun diag -> List.to_seq (Sublattice.all_with_diagonal ~dim:d diag))
+  |> Seq.find (complete_residues cells)
+  |> Option.map (fun lam ->
+         match Single.lattice_tiling p lam with Ok t -> t | Error _ -> assert false)
 
 type placement = { piece : int; anchor : Vec.t; covers : int list }
 

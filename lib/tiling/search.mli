@@ -28,6 +28,9 @@ val lattice_tilings : ?pool:Parallel.pool -> Lattice.Prototile.t -> Lattice.Subl
     identical to the sequential enumeration at every pool size. *)
 
 val find_lattice_tiling : Lattice.Prototile.t -> Single.t option
+(** The tiling by the first lattice {!lattice_tilings} lists, if any.
+    The enumeration runs sequentially and stops at that lattice, so it
+    never builds the rest of the list. *)
 
 type engine = [ `Backtracking | `Bitmask | `Dlx ]
 (** Exact-cover solvers behind {!cover_torus}, all enumerating the

@@ -551,6 +551,135 @@ let test_codec_csv () =
       Alcotest.(check string) "csv line" expected line)
     lines dom
 
+(* --- Re-proof kernel against the set-based reference (test/reference.ml) --- *)
+
+(* The re-proof must return exactly the reference's value, failure and
+   violation record included, on honest certificates and on the ways a
+   certificate can lie.  Swapping two cosets' slots of a lattice tiling
+   only renames slots (each slot holds one coset), so [Copy_slot] also
+   gives one coset another's slot; [Foreign] keeps the slot count but
+   reads the slot table over another tiling's period. *)
+type mutant =
+  | Honest
+  | Drop_member
+  | Push_apart of int * Vec.t
+  | Swap_slots of int * int
+  | Copy_slot of int * int
+  | Foreign of int
+
+let pp_mutant = function
+  | Honest -> "honest"
+  | Drop_member -> "drop a clique member"
+  | Push_apart (i, d) -> Printf.sprintf "push clique member %d by %s" i (Vec.to_string d)
+  | Swap_slots (i, j) -> Printf.sprintf "swap the slots of cosets %d and %d" i j
+  | Copy_slot (i, j) -> Printf.sprintf "coset %d takes the slot of coset %d" i j
+  | Foreign seed -> Printf.sprintf "slot table over the period of tile seed %d" seed
+
+let random_tile ~sparse ~cells seed =
+  let rng = Prng.Xoshiro.create (Int64.of_int seed) in
+  if sparse then Randomtile.sparse rng ~cells ~spread:2 else Randomtile.polyomino rng ~cells
+
+let mutate (cert : Core.Certificate.t) mutant =
+  match mutant with
+  | Honest -> cert
+  | Drop_member -> { cert with clique = List.tl cert.clique }
+  | Push_apart (i, d) ->
+    let i = i mod List.length cert.clique in
+    { cert with clique = List.mapi (fun k v -> if k = i then Vec.add v d else v) cert.clique }
+  | Swap_slots (i, j) | Copy_slot (i, j) ->
+    let period = Core.Schedule.period cert.schedule in
+    let n = Sublattice.index period in
+    let table = Array.init n (Core.Schedule.slot_of_id cert.schedule) in
+    let i = i mod n and j = j mod n in
+    let t = table.(i) in
+    table.(i) <- table.(j);
+    (match mutant with Swap_slots _ -> table.(j) <- t | _ -> ());
+    let num_slots = Core.Schedule.num_slots cert.schedule in
+    { cert with schedule = Core.Schedule.of_table ~period ~num_slots table }
+  | Foreign seed -> (
+    let m = Core.Schedule.num_slots cert.schedule in
+    match Tiling.Search.find_tiling (random_tile ~sparse:false ~cells:(2 + (seed mod 6)) seed) with
+    | None -> cert
+    | Some other ->
+      let s = Core.Schedule.of_tiling other in
+      let period = Core.Schedule.period s in
+      let table = Array.init (Sublattice.index period) (fun k -> Core.Schedule.slot_of_id s k mod m) in
+      { cert with schedule = Core.Schedule.of_table ~period ~num_slots:m table })
+
+let kernel_agrees (cert : Core.Certificate.t) =
+  let n = cert.prototile in
+  let diff_bound = Prototile.difference_set n in
+  Core.Certificate.check cert = Reference.check cert
+  && Core.Collision.violations ~neighborhoods:(fun _ -> n) ~diff_bound cert.schedule
+     = Reference.violations ~neighborhoods:(fun _ -> n) ~diff_bound cert.schedule
+
+let qcheck_reproof_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      bool >>= fun sparse ->
+      int_range 1 (if sparse then 5 else 8) >>= fun cells ->
+      int_bound 1_000_000 >>= fun seed ->
+      let vec = map (fun (x, y) -> Vec.make2 x y) (pair (int_range (-3) 3) (int_range (-3) 3)) in
+      frequency
+        [ (2, return Honest); (1, return Drop_member);
+          (2, map2 (fun i d -> Push_apart (i, d)) small_nat vec);
+          (1, map2 (fun i j -> Swap_slots (i, j)) small_nat small_nat);
+          (1, map2 (fun i j -> Copy_slot (i, j)) small_nat small_nat);
+          (2, map (fun s -> Foreign s) (int_bound 1_000_000)) ]
+      >|= fun mutant -> (random_tile ~sparse ~cells seed, mutant))
+  in
+  let print (p, mutant) = Prototile.to_string p ^ "\n" ^ pp_mutant mutant in
+  QCheck.Test.make ~name:"re-proof = set-based reference on certificates and mutants" ~count:300
+    (QCheck.make ~print gen) (fun (p, mutant) ->
+      match Tiling.Search.find_tiling p with
+      | None -> QCheck.assume_fail ()
+      | Some t -> kernel_agrees (mutate (Core.Certificate.build t) mutant))
+
+(* Rule D1 deployments: two random polyominoes covering a small torus,
+   with the Theorem-2 schedule or a random slot table over its period.
+   The neighborhoods differ by position, so same-slot pairs whose ranges
+   miss each other are exercised too. *)
+let qcheck_multi_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 4 >>= fun c1 ->
+      int_range 1 4 >>= fun c2 ->
+      int_bound 1_000_000 >>= fun seed ->
+      int_range 4 9 >>= fun index ->
+      bool >|= fun theorem2 -> (c1, c2, seed, index, theorem2))
+  in
+  let print (c1, c2, seed, index, theorem2) =
+    Printf.sprintf "cells %d+%d seed %d index %d theorem2 %b" c1 c2 seed index theorem2
+  in
+  QCheck.Test.make ~name:"re-proof = set-based reference on multi-tiling schedules" ~count:100
+    (QCheck.make ~print gen) (fun (c1, c2, seed, index, theorem2) ->
+      let rng = Prng.Xoshiro.create (Int64.of_int seed) in
+      let n1 = Randomtile.polyomino rng ~cells:c1 and n2 = Randomtile.polyomino rng ~cells:c2 in
+      let periods = Sublattice.all_of_index ~dim:2 index in
+      let period = List.nth periods (Prng.Xoshiro.int rng (List.length periods)) in
+      match Tiling.Search.cover_torus ~period ~prototiles:[ n1; n2 ] ~max_solutions:4 () with
+      | [] -> QCheck.assume_fail ()
+      | covers ->
+        let multi = List.nth covers (Prng.Xoshiro.int rng (List.length covers)) in
+        let s = Core.Schedule.of_multi multi in
+        let s =
+          if theorem2 then s
+          else
+            let m = Core.Schedule.num_slots s in
+            Core.Schedule.of_table ~period ~num_slots:m
+              (Array.init (Sublattice.index period) (fun _ -> Prng.Xoshiro.int rng m))
+        in
+        let tiles = Array.of_list (Tiling.Multi.prototiles multi) in
+        let neighborhoods v =
+          let k, _, _ = Tiling.Multi.tile_of multi v in
+          tiles.(k)
+        in
+        let diff_bound =
+          Prototile.difference_set (Prototile.of_cells (Tiling.Multi.union_cells multi))
+        in
+        Core.Collision.violations_multi multi s
+        = Reference.violations ~neighborhoods ~diff_bound s)
+
 let qc = QCheck_alcotest.to_alcotest
 
 let test_codec_tiling_rejects_invalid () =
@@ -754,6 +883,8 @@ let () =
           Alcotest.test_case "detects corruption" `Quick test_certificate_detects_corruption;
           Alcotest.test_case "roundtrip" `Quick test_certificate_roundtrip;
           qc qcheck_certificate_random_exact_polyominoes;
+          qc qcheck_reproof_matches_reference;
+          qc qcheck_multi_matches_reference;
         ] );
       ( "differential",
         [ Alcotest.test_case "periodic = naive window" `Slow test_collision_checker_differential ] );

@@ -515,6 +515,31 @@ let test_region_boundary_and_fit () =
   Alcotest.(check bool) "outside point never fits" false
     (Voronoi.disk_fits_in_region cells ~center:{ Voronoi.px = 3.0; py = 3.0 } ~radius:0.1)
 
+(* Coset-id arithmetic against the vector route, in dimensions 1-3:
+   [coset_of_id] walks [cosets] in order, and every entry of a
+   [translate_ids] table is the id of the translated representative. *)
+let qcheck_translate_ids =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 3 >>= fun dim ->
+      int_range 1 12 >>= fun index ->
+      let lams = Sublattice.all_of_index ~dim index in
+      int_bound (List.length lams - 1) >>= fun k ->
+      list_repeat dim (int_range (-30) 30) >|= fun d -> (List.nth lams k, Vec.of_list d))
+  in
+  let print (lam, d) = Sublattice.to_string lam ^ " d=" ^ Vec.to_string d in
+  QCheck.Test.make ~name:"coset_of_id and translate_ids agree with coset_id" ~count:400
+    (QCheck.make ~print gen) (fun (lam, d) ->
+      let table = Sublattice.translate_ids lam d in
+      Array.length table = Sublattice.index lam
+      && List.for_all2
+           (fun k c ->
+             Vec.equal (Sublattice.coset_of_id lam k) c
+             && Sublattice.coset_id lam c = k
+             && table.(k) = Sublattice.coset_id lam (Vec.add c d))
+           (List.init (Sublattice.index lam) Fun.id)
+           (Sublattice.cosets lam))
+
 let qc = QCheck_alcotest.to_alcotest
 
 let () =
@@ -532,6 +557,7 @@ let () =
           qc qcheck_snf_product_is_index;
           qc qcheck_reduce_idempotent;
           qc qcheck_coset_id_consistent;
+          qc qcheck_translate_ids;
         ] );
       ( "prototile",
         [

@@ -217,6 +217,74 @@ let test_bitflip_never_served_invalid () =
         done
       done)
 
+(* A frame can pass its CRC and still carry a false proof: here the
+   T-tetromino's schedule puts every sensor in slot 0.  Recovery must
+   re-prove it, drop it, and keep serving the records on both sides. *)
+let test_rejected_certificate_dropped () =
+  let frame payload =
+    let header = Bytes.create 9 in
+    Bytes.set header 0 'R';
+    Bytes.set_int32_le header 1 (Int32.of_int (String.length payload));
+    Bytes.set_int32_le header 5 (Core.Crc32.of_string payload);
+    Bytes.to_string header ^ payload
+  in
+  let tee = Symmetry.canonical (tet `T) in
+  let key = Store.key_of_prototile tee in
+  let tiling =
+    match found_entry tee with Store.Found { tiling; _ } -> tiling | Store.No_tiling -> assert false
+  in
+  let cert = Core.Certificate.build tiling in
+  let period = Core.Schedule.period cert.schedule in
+  let colliding =
+    { cert with
+      schedule =
+        Core.Schedule.of_table ~period ~num_slots:(Core.Schedule.num_slots cert.schedule)
+          (Array.make (Sublattice.index period) 0) }
+  in
+  (match Reference.check colliding with
+  | Error (Core.Certificate.Not_collision_free _) -> ()
+  | _ -> Alcotest.fail "the forged schedule must collide");
+  let forged =
+    frame
+      (String.concat "\n"
+         [ Core.Codec.encode_record ~kind:"store" [ ("key", key); ("status", "found") ];
+           Core.Codec.tiling_to_string tiling; Core.Certificate.to_string colliding ])
+  in
+  (* One more valid record after the forged frame. *)
+  let ell = Symmetry.canonical (tet `L) in
+  let after =
+    with_temp_store (fun path ->
+        let store = Store.open_ path in
+        Store.put store (Store.key_of_prototile ell) (found_entry ell);
+        Store.close store;
+        let data = read_file path in
+        String.sub data 8 (String.length data - 8))
+  in
+  let others =
+    List.map Store.key_of_prototile
+      [ Symmetry.canonical (tet `S); Prototile.of_cells [ v2 0 0 ];
+        Symmetry.canonical (Prototile.of_cells [ v2 0 0; v2 1 0 ]); ell ]
+  in
+  with_temp_store (fun path ->
+      write_file path (sample_log_bytes () ^ forged ^ after);
+      let store = Store.open_ path in
+      let r = Store.recovery store in
+      Alcotest.(check int) "the forged frame is dropped" 1 r.Store.dropped;
+      Alcotest.(check int) "nothing truncated" 0 r.Store.truncated_bytes;
+      Alcotest.(check int) "every other frame replayed" 4 r.Store.records;
+      Alcotest.(check bool) "the forged key is absent" false (Store.mem store key);
+      List.iter
+        (fun k ->
+          match Store.find store k with
+          | Some Store.No_tiling -> ()
+          | Some (Store.Found { certificate; _ }) ->
+            Alcotest.(check bool) "served certificate checks" true
+              (Core.Certificate.check certificate = Ok ())
+          | None -> Alcotest.failf "record %s lost next to the forged frame" k)
+        others;
+      Alcotest.(check int) "live set is the other records" 4 (Store.length store);
+      Store.close store)
+
 (* ---------- engine integration ---------- *)
 
 let test_engine_source_tiers () =
@@ -307,8 +375,8 @@ let test_lru_keys_in_store () =
       Alcotest.(check int) "one LRU entry per class" 5 s.Protocol.cache_entries;
       List.iter
         (fun t ->
-          if not (Store.mem store (Engine.canonical_key t)) then
-            Alcotest.failf "LRU key %s is not in the store" (Engine.canonical_key t))
+          if not (Store.mem store (Store.key_of_prototile t)) then
+            Alcotest.failf "LRU key %s is not in the store" (Store.key_of_prototile t))
         tiles;
       Store.close store);
   with_temp_store (fun path ->
@@ -341,6 +409,8 @@ let () =
             test_truncation_every_offset;
           Alcotest.test_case "bit flips never serve invalid data" `Slow
             test_bitflip_never_served_invalid;
+          Alcotest.test_case "CRC-valid frame with a colliding schedule is dropped" `Quick
+            test_rejected_certificate_dropped;
         ] );
       ( "engine",
         [
