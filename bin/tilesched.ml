@@ -770,75 +770,6 @@ let loadgen_cmd =
         (const run $ jobs_term $ socket_arg $ requests $ clients $ zipf $ seed $ tiles
        $ shutdown $ binary $ connections $ rate $ ops $ cache $ queue))
 
-(* ---------- lint ---------- *)
-
-let lint_cmd =
-  let format_arg =
-    Arg.(
-      value
-      & opt (enum [ ("human", `Human); ("json", `Json); ("sarif", `Sarif) ]) `Human
-      & info [ "f"; "format" ] ~docv:"FMT" ~doc:"Report format: human, json, or sarif.")
-  in
-  let baseline_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:
-            "Suppress findings listed in FILE (one per line, \
-             RULE<TAB>FILE<TAB>MESSAGE; '#' comments). Suppressed counts still appear in the \
-             summary.")
-  in
-  let root_arg =
-    Arg.(
-      value & opt dir "."
-      & info [ "root" ] ~docv:"DIR"
-          ~doc:"Project root to scan (its lib/, bin/, and test/ subtrees).")
-  in
-  let rules_arg =
-    Arg.(value & flag & info [ "rules" ] ~doc:"Print the rule book (ids, scopes, allowlists) and exit.")
-  in
-  let allow_stale_arg =
-    Arg.(
-      value & flag
-      & info [ "allow-stale" ]
-          ~doc:
-            "Do not fail when a baseline entry matches no current finding (B0). Use while \
-             burning a baseline down incrementally.")
-  in
-  let run format baseline allow_stale root rules =
-    if rules then begin
-      print_endline (Lint.Rules.describe ());
-      Ok ()
-    end
-    else
-      let ( let* ) = Result.bind in
-      let* baseline =
-        match baseline with
-        | None -> Ok Lint.Baseline.empty
-        | Some path ->
-          Result.map_error (fun msg -> `Msg ("cannot load baseline: " ^ msg))
-            (Lint.Baseline.load path)
-      in
-      let report = Lint.run ~baseline ~allow_stale ~root () in
-      print_string
-        (match format with
-        | `Human -> Lint.render_human report
-        | `Json -> Lint.render_json report
-        | `Sarif -> Lint.render_sarif report);
-      if report.Lint.findings = [] then Ok () else Stdlib.exit 1
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Statically check the source tree against the project invariants: syntactic rules \
-          R1-R5 plus the typedtree dataflow layer - interprocedural determinism taint (R1'), \
-          lock discipline (R6), and resource lifetime (R7). Unused allowlist entries (A0) and \
-          stale baseline entries (B0) are findings too. Exits 1 if any finding survives the \
-          baseline.")
-    Term.(
-      term_result (const run $ format_arg $ baseline_arg $ allow_stale_arg $ root_arg $ rules_arg))
-
 (* ---------- lifetime ---------- *)
 
 let lifetime_cmd =
@@ -1109,5 +1040,4 @@ let () =
     (Cmd.eval
        (Cmd.group (Cmd.info "tilesched" ~version:"1.0.0" ~doc)
           [ figure_cmd; exact_cmd; schedule_cmd; color_cmd; simulate_cmd; export_cmd; sync_cmd;
-            certify_cmd; serve_cmd; loadgen_cmd; corpus_cmd; lifetime_cmd;
-            bench_cmd; lint_cmd ]))
+            certify_cmd; serve_cmd; loadgen_cmd; corpus_cmd; lifetime_cmd; bench_cmd ]))

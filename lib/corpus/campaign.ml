@@ -132,10 +132,15 @@ let repair_segments dir m =
 
 (* ---------- the campaign proper ---------- *)
 
+(* [tiles] come from [Polyomino.enumerate_free_iter], which yields each
+   class's canonical representative, so a tile's cells already are its
+   store key; [Snapshot.verify] re-derives every key offline. *)
 let append_band dir m ~pool ~progress ~n tiles =
   let shards = m.Layout.shards in
   let records =
-    Parallel.map pool (fun tile -> (Store.key_of_prototile tile, record_of_tile tile)) tiles
+    Parallel.map pool
+      (fun tile -> (Core.Codec.vecs_to_string (Prototile.cells tile), record_of_tile tile))
+      tiles
   in
   let lens = Layout.shard_lengths m in
   let exact = ref 0 and non_exact = ref 0 in

@@ -27,18 +27,30 @@ fi
 dune build @all
 dune runtest
 
+# Link guard: the daemon binary must not carry the OCaml compiler.  The
+# analyzer's compiler-libs are linked with -linkall, so any library of
+# bin/tilesched.exe that depends on lib/lint pulls the whole type checker
+# into every daemon start (DESIGN.md section 10).
+daemon=_build/default/bin/tilesched.exe
+symbols=$(nm "$daemon")
+linked=$(printf '%s\n' "$symbols" | grep -c camlTypemod || true)
+if [ "$linked" -ne 0 ]; then
+  echo "error: $daemon links compiler-libs ($linked camlTypemod symbols)" >&2
+  exit 1
+fi
+
 # Project-invariant static analysis (DESIGN.md sections 10 and 15):
 # the syntactic rules (determinism, forbidden constructs, Parallel task
 # purity, fsync-before-rename, interface coverage) plus the typedtree
 # dataflow layer (interprocedural determinism taint, lock discipline,
 # resource lifetime).  Exits nonzero on any finding.
-dune exec bin/tilesched.exe -- lint
+dune exec bin/lint/tilesched_lint.exe
 
 # The SARIF emitter must stay schema-valid: emit the same scan as SARIF
 # and structurally check the 2.1.0 essentials (CI uploads this file as
 # an artifact).
 sarif_out=/tmp/tilesched-lint.sarif
-dune exec bin/tilesched.exe -- lint --format sarif > "$sarif_out"
+dune exec bin/lint/tilesched_lint.exe -- --format sarif > "$sarif_out"
 python3 - "$sarif_out" <<'PY'
 import json, sys
 

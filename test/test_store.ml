@@ -53,7 +53,17 @@ let test_enumerate_canonical_reps () =
         tiles;
       let distinct = List.sort_uniq Prototile.compare tiles in
       Alcotest.(check int) "no duplicate classes" (List.length tiles) (List.length distinct))
-    [ 1; 2; 3; 4; 5 ]
+    [ 1; 2; 3; 4; 5 ];
+  (* The corpus campaign keys each streamed tile by its own cells, so the
+     streaming enumerator must yield canonical representatives too. *)
+  let streamed = ref 0 in
+  Polyomino.enumerate_free_iter ~max_area:8 (fun ~area tile ->
+      incr streamed;
+      Alcotest.(check int) "streamed area" area (Prototile.size tile);
+      if not (Prototile.equal tile (Symmetry.canonical tile)) then
+        Alcotest.failf "streamed tile of area %d is not its own canonical representative" area);
+  Alcotest.(check int) "free polyominoes of area <= 8" (1 + 1 + 2 + 5 + 12 + 35 + 108 + 369)
+    !streamed
 
 (* ---------- log roundtrip / supersede / compaction ---------- *)
 
