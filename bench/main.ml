@@ -4,7 +4,12 @@
    micro-benchmarks of the core machinery.
 
    Output sections are indexed in DESIGN.md and summarized in
-   EXPERIMENTS.md.  Run with: dune exec bench/main.exe *)
+   EXPERIMENTS.md.  Run with: dune exec bench/main.exe
+
+   The same executable runs one benchmark suite (dune exec
+   bench/main.exe -- suite SUITE [--quota S] [--json F], or
+   suite --validate F) and the load generator (-- loadgen ...): see
+   commands.ml. *)
 
 open Lattice
 
@@ -706,9 +711,13 @@ let engine_shootout () =
     let v = f () in
     (v, Unix.gettimeofday () -. t0)
   in
+  let prototiles = [ s_tet; z_tet ] in
   let run engine pool =
-    Tiling.Search.cover_torus ~period:sz_period ~prototiles:[ s_tet; z_tet ]
-      ~max_solutions:max_int ~engine ?pool ()
+    match engine with
+    | `Bitmask ->
+      Tiling.Search.cover_torus ~period:sz_period ~prototiles ~max_solutions:max_int ?pool ()
+    | (`Backtracking | `Dlx) as engine ->
+      Oracle.Torus.covers ~engine ~period:sz_period ~prototiles ~max_solutions:max_int ()
   in
   (* Sequential, all solutions: the workload the bitmask kernel was built
      for.  The identity of the full ordered solution lists is asserted,
@@ -734,8 +743,10 @@ let engine_shootout () =
      retention of 1024 result values - an Amdahl floor that caps the
      ratio above; counting removes it and exposes the kernels. *)
   let count engine pool =
-    Tiling.Search.count_torus_covers ~period:sz_period ~prototiles:[ s_tet; z_tet ] ~engine
-      ?pool ()
+    match engine with
+    | `Bitmask -> Tiling.Search.count_torus_covers ~period:sz_period ~prototiles ?pool ()
+    | (`Backtracking | `Dlx) as engine ->
+      Oracle.Torus.count ~engine ~period:sz_period ~prototiles
   in
   Printf.printf "\nsame workload, enumeration only (count_torus_covers), jobs=1:\n";
   Printf.printf "  %-14s %12s %10s\n" "engine" "time (s)" "speedup";
@@ -763,14 +774,14 @@ let engine_shootout () =
 (* ------------------------------------------------------------------ *)
 
 let micro_benchmarks () =
-  section "BENCH" "Bechamel micro-benchmarks (the core suite; artifact: tilesched bench --json)";
+  section "BENCH" "Bechamel micro-benchmarks (the core suite; artifact: main.exe suite --json)";
   let core = Option.get (Microbench.find_suite "core") in
   List.iter
     (fun (r : Microbench.row) ->
       Printf.printf "%-42s %16.1f %s\n" r.name r.value (Microbench.unit_to_string r.unit))
-    (core.run ~quota:0.5 ~exe:Sys.executable_name)
+    (core.run ~quota:0.5)
 
-let () =
+let experiments () =
   print_endline "tilesched experiment harness - reproduces every figure of";
   print_endline "\"Scheduling Sensors by Tiling Lattices\" (Klappenecker, Lee, Welch 2008)";
   print_endline "plus the quantitative evaluation its introduction motivates.";
@@ -794,4 +805,18 @@ let () =
   server_loadgen ();
   store_warm_start ();
   micro_benchmarks ();
-  print_endline "\nall experiments complete."
+  print_endline "\nall experiments complete.";
+  Cmdliner.Cmd.Exit.ok
+
+let () =
+  let open Cmdliner in
+  exit
+    (Cmd.eval'
+       (Cmd.group
+          ~default:Term.(const experiments $ const ())
+          (Cmd.info "bench"
+             ~doc:
+               "The tilesched experiment harness: with no command, every EXP-* section; \
+                $(b,suite) runs one benchmark suite or validates its artifact; $(b,loadgen) \
+                drives the schedule server.")
+          [ Commands.suite; Commands.loadgen ]))

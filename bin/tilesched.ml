@@ -1,13 +1,12 @@
-(* tilesched: command-line front end.
+(* tilesched: command-line front end and daemon.
 
-   Subcommands:
-     figure    - regenerate a figure of the paper (ASCII to stdout + SVG)
-     exact     - decide whether a prototile tiles the lattice
-     schedule  - build and verify an optimal schedule for a prototile
-     color     - compare slot counts against classical baselines
-     simulate  - run the wireless simulator under a chosen MAC
+   Subcommands: figure, exact, schedule, color, simulate, export, sync,
+   certify, serve, corpus, lifetime.  The benchmark suites and the load
+   generator are bench/main.exe and the linter is
+   bin/lint/tilesched_lint.exe, so the daemon's binary links neither
+   Bechamel nor compiler-libs.
 
-   Prototiles are named on the command line:
+   Prototiles are named on the command line ([Prototile.of_name]):
      cheb<r>, euclid<r>, manhattan<r>, rect<W>x<H>, dir,
      tet-<I|O|T|S|Z|L|J>, pent-<F|I|L|N|P|T|U|V|W|X|Y|Z>,
      or cells:<x,y;x,y;...> (must include 0,0). *)
@@ -17,64 +16,10 @@ open Lattice
 
 (* ---------- prototile parsing ---------- *)
 
-let parse_tile s =
-  let fail msg = Error (`Msg msg) in
-  let prefix p = String.length s > String.length p && String.sub s 0 (String.length p) = p in
-  let suffix_int p = int_of_string (String.sub s (String.length p) (String.length s - String.length p)) in
-  try
-    if s = "dir" then Ok Prototile.directional
-    else if prefix "cheb" then Ok (Prototile.chebyshev_ball ~dim:2 (suffix_int "cheb"))
-    else if prefix "euclid" then Ok (Prototile.euclidean_ball ~dim:2 (suffix_int "euclid"))
-    else if prefix "manhattan" then Ok (Prototile.manhattan_ball ~dim:2 (suffix_int "manhattan"))
-    else if prefix "rect" then begin
-      match String.split_on_char 'x' (String.sub s 4 (String.length s - 4)) with
-      | [ w; h ] -> Ok (Prototile.rect (int_of_string w) (int_of_string h))
-      | _ -> fail "rect needs the form rect<W>x<H>"
-    end
-    else if prefix "tet-" then begin
-      match String.sub s 4 1 with
-      | "I" -> Ok (Prototile.tetromino `I)
-      | "O" -> Ok (Prototile.tetromino `O)
-      | "T" -> Ok (Prototile.tetromino `T)
-      | "S" -> Ok (Prototile.tetromino `S)
-      | "Z" -> Ok (Prototile.tetromino `Z)
-      | "L" -> Ok (Prototile.tetromino `L)
-      | "J" -> Ok (Prototile.tetromino `J)
-      | c -> fail ("unknown tetromino " ^ c)
-    end
-    else if prefix "pent-" then begin
-      match String.sub s 5 1 with
-      | "F" -> Ok (Prototile.pentomino `F)
-      | "I" -> Ok (Prototile.pentomino `I)
-      | "L" -> Ok (Prototile.pentomino `L)
-      | "N" -> Ok (Prototile.pentomino `N)
-      | "P" -> Ok (Prototile.pentomino `P)
-      | "T" -> Ok (Prototile.pentomino `T)
-      | "U" -> Ok (Prototile.pentomino `U)
-      | "V" -> Ok (Prototile.pentomino `V)
-      | "W" -> Ok (Prototile.pentomino `W)
-      | "X" -> Ok (Prototile.pentomino `X)
-      | "Y" -> Ok (Prototile.pentomino `Y)
-      | "Z" -> Ok (Prototile.pentomino `Z)
-      | c -> fail ("unknown pentomino " ^ c)
-    end
-    else if prefix "cells:" then begin
-      let body = String.sub s 6 (String.length s - 6) in
-      let cells =
-        String.split_on_char ';' body
-        |> List.map (fun pair ->
-               match String.split_on_char ',' pair with
-               | [ x; y ] -> Zgeom.Vec.make2 (int_of_string x) (int_of_string y)
-               | _ -> failwith "cells need the form x,y;x,y;...")
-      in
-      Ok (Prototile.of_cells cells)
-    end
-    else fail ("unknown prototile: " ^ s)
-  with
-  | Failure msg -> fail msg
-  | Assert_failure _ -> fail "invalid prototile (did you include the origin 0,0?)"
-
-let tile_conv = Arg.conv (parse_tile, fun fmt p -> Format.fprintf fmt "%d-cell tile" (Prototile.size p))
+let tile_conv =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun e -> `Msg e) (Prototile.of_name s)),
+      fun fmt p -> Format.fprintf fmt "%d-cell tile" (Prototile.size p) )
 
 let tile_arg =
   Arg.(
@@ -389,15 +334,14 @@ let sync_cmd =
         (const run $ jobs_term $ tile_arg $ width_arg $ height_arg $ resync_arg $ drift_arg
        $ duration_arg))
 
-(* ---------- serve / loadgen ---------- *)
+(* ---------- serve ---------- *)
 
 let socket_arg =
   Arg.(
     value
     & opt (some string) None
     & info [ "s"; "socket" ] ~docv:"PATH"
-        ~doc:"Unix-domain socket path. serve: listen here instead of stdio; loadgen: drive \
-              the daemon at PATH instead of an in-process engine.")
+        ~doc:"Unix-domain socket path: listen here instead of stdio.")
 
 let store_arg =
   Arg.(
@@ -631,145 +575,6 @@ let corpus_cmd =
           zero deserialization.")
     [ build_cmd; stats_cmd; verify_cmd; requests_cmd ]
 
-let loadgen_cmd =
-  let requests =
-    Arg.(value & opt int 10_000 & info [ "n"; "requests" ] ~docv:"N" ~doc:"Completions to drive.")
-  in
-  let clients =
-    Arg.(value & opt int 8 & info [ "c"; "clients" ] ~docv:"N" ~doc:"Closed-loop clients.")
-  in
-  let zipf =
-    Arg.(
-      value & opt float 1.1
-      & info [ "zipf" ] ~docv:"S" ~doc:"Tile popularity skew exponent (0 = uniform).")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Workload RNG seed.") in
-  let tiles =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "tiles" ] ~docv:"NAMES"
-          ~doc:
-            "Comma-separated named tiles, most popular first (e.g. cheb1,tet-S,tet-Z). \
-             Default: a 16-tile catalogue with congruent pairs.")
-  in
-  let shutdown =
-    Arg.(
-      value & flag
-      & info [ "shutdown" ] ~doc:"Finish by asking the server to shut down (socket mode).")
-  in
-  let binary =
-    Arg.(
-      value & flag
-      & info [ "binary" ]
-          ~doc:"Speak the binary wire protocol instead of text lines (socket mode).")
-  in
-  let connections =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "connections" ] ~docv:"N"
-          ~doc:
-            "Open-loop mode: hold N concurrent connections against the daemon, one request in \
-             flight each, instead of the closed-loop batch driver.  Requires --socket.")
-  in
-  let rate =
-    Arg.(
-      value & opt float 0.0
-      & info [ "rate" ] ~docv:"R"
-          ~doc:"Open-loop mode: aggregate target requests/second (0 = unpaced).")
-  in
-  let ops =
-    Arg.(
-      value
-      & opt (enum [ ("mixed", `Mixed); ("search", `Search_only) ]) `Mixed
-      & info [ "ops" ] ~docv:"MIX"
-          ~doc:
-            "Operation mix: 'mixed' (80/15/5 slot/schedule/tile-search) or 'search' \
-             (tile-search only, the zero-copy splice workload).")
-  in
-  let cache =
-    Arg.(
-      value & opt int 256
-      & info [ "cache" ] ~docv:"N" ~doc:"In-process mode: engine cache capacity.")
-  in
-  let queue =
-    Arg.(
-      value & opt int 512 & info [ "queue" ] ~docv:"N" ~doc:"In-process mode: admission bound.")
-  in
-  let run () socket requests clients zipf seed tiles shutdown binary connections rate ops
-      cache queue =
-    let ( let* ) = Result.bind in
-    let* tiles =
-      match tiles with
-      | None -> Ok Server.Loadgen.default_tiles
-      | Some names ->
-        List.fold_right
-          (fun name acc ->
-            let* acc = acc in
-            let* tile = parse_tile name in
-            Ok ((name, tile) :: acc))
-          (String.split_on_char ',' names) (Ok [])
-    in
-    match connections with
-    | Some connections -> (
-      match socket with
-      | None -> Error (`Msg "--connections (open-loop mode) needs --socket")
-      | Some path -> (
-        let open_config =
-          { Server.Loadgen.connections; rate; total = requests; binary; zipf;
-            seed = Int64.of_int seed; tiles; ops; send_shutdown = shutdown }
-        in
-        match Server.Loadgen.run_open ~path open_config with
-        | report ->
-          Format.printf "%a@." Server.Loadgen.pp_open_report report;
-          Ok ()
-        | exception Unix.Unix_error (err, _, _) ->
-          Error (`Msg (Printf.sprintf "cannot drive %s: %s" path (Unix.error_message err)))))
-    | None ->
-      let config =
-        { Server.Loadgen.requests; clients; zipf; seed = Int64.of_int seed; tiles; ops;
-          send_shutdown = shutdown }
-      in
-      let* report =
-        match socket with
-        | None ->
-          if shutdown then Error (`Msg "--shutdown needs --socket")
-          else if binary then Error (`Msg "--binary needs --socket")
-          else begin
-            let engine = Server.create ~cache_capacity:cache ~queue_bound:queue () in
-            Ok (Server.Loadgen.run engine config)
-          end
-        | Some path -> (
-          match
-            if binary then
-              Server.Frontend.with_binary_connection ~path (fun send ->
-                  Server.Loadgen.run_binary ~send config)
-            else
-              Server.Frontend.with_connection ~path (fun send ->
-                  Server.Loadgen.run_with ~send config)
-          with
-          | report -> Ok report
-          | exception Unix.Unix_error (err, _, _) ->
-            Error (`Msg (Printf.sprintf "cannot drive %s: %s" path (Unix.error_message err))))
-      in
-      (* Deterministic summary on stdout (diffable across -j and runs);
-         wall-clock timing on stderr. *)
-      Format.printf "%a@." Server.Loadgen.pp_report report;
-      Format.eprintf "%a@." Server.Loadgen.pp_timing report;
-      Ok ()
-  in
-  Cmd.v
-    (Cmd.info "loadgen"
-       ~doc:
-         "Drive the schedule server with a Zipf-skewed workload - closed-loop batches by \
-          default, open-loop with --connections/--rate - over either wire dialect, and \
-          report throughput, latency percentiles, cache hit rate, and backpressure behavior.")
-    Term.(
-      term_result
-        (const run $ jobs_term $ socket_arg $ requests $ clients $ zipf $ seed $ tiles
-       $ shutdown $ binary $ connections $ rate $ ops $ cache $ queue))
-
 (* ---------- lifetime ---------- *)
 
 let lifetime_cmd =
@@ -957,87 +762,10 @@ let lifetime_cmd =
         (const run $ jobs_term $ tile_arg $ width_arg $ height_arg $ rotate_arg $ deaths_arg
        $ policy_arg $ battery_arg $ seed_arg))
 
-let bench_cmd =
-  let suite_arg =
-    Arg.(
-      value
-      & pos 0
-          (some (enum (List.map (fun (s : Microbench.suite) -> (s.name, s)) Microbench.suites)))
-          None
-      & info [] ~docv:"SUITE"
-          ~doc:
-            ("The suite to run (default core): "
-            ^ String.concat "; "
-                (List.map
-                   (fun (s : Microbench.suite) -> Printf.sprintf "$(b,%s): %s" s.name s.doc)
-                   Microbench.suites)
-            ^ "."))
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:"Write the results as a JSON artifact {suite, rows: [{name, value, unit}]} to PATH.")
-  in
-  let validate_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "validate" ] ~docv:"PATH"
-          ~doc:
-            "Do not benchmark; instead check the artifact at PATH against the suite it names \
-             (schema, required rows and units, gates) and exit.")
-  in
-  let quota_arg =
-    Arg.(
-      value & opt float 0.5
-      & info [ "quota" ] ~docv:"SECS"
-          ~doc:"Bechamel time budget per benchmark, in seconds. Small values make a fast smoke run.")
-  in
-  let run () suite json validate quota =
-    match (validate, suite) with
-    | Some _, Some _ -> Error (`Msg "--validate reads the suite from the artifact; drop SUITE")
-    | Some path, None -> (
-      match Microbench.validate_json (In_channel.with_open_bin path In_channel.input_all) with
-      | Ok (suite, rows) ->
-        Printf.printf "%s: suite %s, %d rows, schema and gates ok\n" path suite.name
-          (List.length rows);
-        Ok ()
-      | Error msg -> Error (`Msg (Printf.sprintf "%s: %s" path msg)))
-    | None, suite ->
-      if quota <= 0.0 then Error (`Msg "quota must be positive")
-      else begin
-        let suite = Option.value suite ~default:(List.hd Microbench.suites) in
-        let rows = suite.run ~quota ~exe:Sys.executable_name in
-        Printf.printf "%-42s %16s %s\n" "benchmark" "value" "unit";
-        List.iter
-          (fun (r : Microbench.row) ->
-            Printf.printf "%-42s %16.1f %s\n" r.name r.value (Microbench.unit_to_string r.unit))
-          rows;
-        match json with
-        | None -> Ok ()
-        | Some path -> (
-          let out = Microbench.to_json suite rows in
-          match Microbench.validate_json out with
-          | Error msg -> Error (`Msg ("refusing to write invalid artifact: " ^ msg))
-          | Ok _ ->
-            Out_channel.with_open_bin path (fun oc -> output_string oc out);
-            Printf.printf "\n[wrote %s: %d rows, validated]\n" path (List.length rows);
-            Ok ())
-      end
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "Run one benchmark suite and optionally write its JSON artifact, or validate an \
-          artifact (the committed BENCH_*.json files) against the suite it names.")
-    Term.(term_result (const run $ jobs_term $ suite_arg $ json_arg $ validate_arg $ quota_arg))
-
 let () =
   let doc = "Collision-free sensor scheduling by lattice tilings (Klappenecker-Lee-Welch 2008)" in
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "tilesched" ~version:"1.0.0" ~doc)
           [ figure_cmd; exact_cmd; schedule_cmd; color_cmd; simulate_cmd; export_cmd; sync_cmd;
-            certify_cmd; serve_cmd; loadgen_cmd; corpus_cmd; lifetime_cmd; bench_cmd ]))
+            certify_cmd; serve_cmd; corpus_cmd; lifetime_cmd ]))

@@ -98,6 +98,63 @@ let pentomino = function
   | `Y -> shape2 [ (0, 1); (1, 0); (1, 1); (1, 2); (1, 3) ]
   | `Z -> shape2 [ (0, 2); (1, 2); (1, 1); (1, 0); (2, 0) ]
 
+(* The command-line tile syntax; every malformed name is an [Error]. *)
+let of_name s =
+  let prefix p = String.length s > String.length p && String.sub s 0 (String.length p) = p in
+  let suffix_int p = int_of_string (String.sub s (String.length p) (String.length s - String.length p)) in
+  try
+    if s = "dir" then Ok directional
+    else if prefix "cheb" then Ok (chebyshev_ball ~dim:2 (suffix_int "cheb"))
+    else if prefix "euclid" then Ok (euclidean_ball ~dim:2 (suffix_int "euclid"))
+    else if prefix "manhattan" then Ok (manhattan_ball ~dim:2 (suffix_int "manhattan"))
+    else if prefix "rect" then begin
+      match String.split_on_char 'x' (String.sub s 4 (String.length s - 4)) with
+      | [ w; h ] -> Ok (rect (int_of_string w) (int_of_string h))
+      | _ -> Error "rect needs the form rect<W>x<H>"
+    end
+    else if prefix "tet-" then begin
+      match String.sub s 4 1 with
+      | "I" -> Ok (tetromino `I)
+      | "O" -> Ok (tetromino `O)
+      | "T" -> Ok (tetromino `T)
+      | "S" -> Ok (tetromino `S)
+      | "Z" -> Ok (tetromino `Z)
+      | "L" -> Ok (tetromino `L)
+      | "J" -> Ok (tetromino `J)
+      | c -> Error ("unknown tetromino " ^ c)
+    end
+    else if prefix "pent-" then begin
+      match String.sub s 5 1 with
+      | "F" -> Ok (pentomino `F)
+      | "I" -> Ok (pentomino `I)
+      | "L" -> Ok (pentomino `L)
+      | "N" -> Ok (pentomino `N)
+      | "P" -> Ok (pentomino `P)
+      | "T" -> Ok (pentomino `T)
+      | "U" -> Ok (pentomino `U)
+      | "V" -> Ok (pentomino `V)
+      | "W" -> Ok (pentomino `W)
+      | "X" -> Ok (pentomino `X)
+      | "Y" -> Ok (pentomino `Y)
+      | "Z" -> Ok (pentomino `Z)
+      | c -> Error ("unknown pentomino " ^ c)
+    end
+    else if prefix "cells:" then begin
+      let body = String.sub s 6 (String.length s - 6) in
+      let cells =
+        String.split_on_char ';' body
+        |> List.map (fun pair ->
+               match String.split_on_char ',' pair with
+               | [ x; y ] -> Vec.make2 (int_of_string x) (int_of_string y)
+               | _ -> failwith "cells need the form x,y;x,y;...")
+      in
+      Ok (of_cells cells)
+    end
+    else Error ("unknown prototile: " ^ s)
+  with
+  | Failure msg -> Error msg
+  | Assert_failure _ -> Error "invalid prototile (did you include the origin 0,0?)"
+
 let dim t = t.dim
 let size t = Vec.Set.cardinal t.cells
 let cells t = Vec.Set.elements t.cells

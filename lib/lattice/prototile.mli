@@ -60,6 +60,13 @@ val tetromino : [ `I | `O | `T | `S | `Z | `L | `J ] -> t
 
 val pentomino : [ `F | `I | `L | `N | `P | `T | `U | `V | `W | `X | `Y | `Z ] -> t
 
+val of_name : string -> (t, string) result
+(** The command-line tile syntax: [cheb<r>], [euclid<r>],
+    [manhattan<r>] (2-D balls), [rect<W>x<H>], [dir] ({!directional}),
+    [tet-<I|O|T|S|Z|L|J>], [pent-<F|I|L|N|P|T|U|V|W|X|Y|Z>], or
+    [cells:<x,y;x,y;...>] (2-D, must include [0,0]).  [Error] names the
+    problem. *)
+
 (** {1 Observation} *)
 
 val dim : t -> int

@@ -20,7 +20,7 @@ type suite = {
   doc : string;
   required : (string * unit_) list;
   gates : gate list;
-  run : quota:float -> exe:string -> row list;
+  run : quota:float -> row list;
 }
 
 let staircase k =
@@ -90,7 +90,7 @@ let run_tests ~quota tests =
 (* The EXP-P3 scheduler benchmark: {!Tiling.Search.count_torus_covers}
    on [skew_instance ~n:28] at jobs = 1 and jobs = 4.  A single-core
    host shows no speedup, so the suite declares no gate. *)
-let run_skew ~quota ~exe:_ =
+let run_skew ~quota =
   let open Bechamel in
   (* n = 28: 785 covers, 93% of them under the single monomino-at-zero
      root branch (EXP-P3), at a sequential count cost small enough for
@@ -155,7 +155,7 @@ let lifetime_first_death rot =
    them); the [repair-solve-*] rows time {!Lifetime.Repair.repair} on
    the minimal wrapped-row window (I-tet, 8 cells) and on a
    one-ring-grown window (S-tet, 56 cells). *)
-let run_lifetime ~quota ~exe:_ =
+let run_lifetime ~quota =
   let open Bechamel in
   let static = lifetime_instance ~classes:1 ~epochs:1 ~policy:Lifetime.Rotation.Round_robin in
   let rotate =
@@ -206,7 +206,7 @@ let rm_rf dir =
     Unix.rmdir dir
   end
 
-let run_corpus ~quota ~exe:_ =
+let run_corpus ~quota =
   let open Bechamel in
   let root =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -295,14 +295,39 @@ let server_small_tiles =
       ("pent-I", Prototile.pentomino `I);
       ("pent-X", Prototile.pentomino `X) ]
 
+(* The daemon the server suite spawns: [bin/tilesched.exe] in the same
+   build tree as the running benchmark executable ([bench/main.exe]). *)
+let daemon_exe () =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    (Filename.concat "bin" "tilesched.exe")
+
 (* The wire-protocol suite (EXP-SRV2): closed-loop warm tile-search
    throughput under each dialect and their ratio, then the per-request
    latency percentiles and the undecodable-reply count of a
-   10,000-connection binary open-loop run.  The closed-loop request
-   count scales with [quota] ([quota * 10_000], at least 1000); the
-   open-loop run is fixed-size.  The spawned daemon is shut down at the
-   end, and killed if anything raises first. *)
-let run_server ~quota ~exe =
+   10,000-connection binary open-loop run.  Each dialect is sampled
+   [server_pairs] times, text and binary interleaved; the throughput
+   rows are the medians of the samples and the ratio row is the median
+   of the per-pair ratios, so one slow sample cannot decide the gate.
+   Every sample starts after a full major collection, so the garbage
+   of one sample is not collected on the next one's clock (a binary
+   sample at the smoke quota lasts only a few milliseconds).
+   Each sample's request count scales with [quota] ([quota * 10_000],
+   at least 1000); the open-loop run is fixed-size.  The spawned daemon
+   is shut down at the end, and killed if anything raises first. *)
+let server_pairs = 5
+
+(* The middle sample ([server_pairs] is odd). *)
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  a.(Array.length a / 2)
+
+let run_server ~quota =
+  let exe = daemon_exe () in
+  if not (Sys.file_exists exe) then
+    failwith
+      (Printf.sprintf "the server suite needs the daemon at %s; build it with 'dune build'" exe);
   let root =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "tilesched-server-bench-%d" (Unix.getpid ()))
@@ -380,13 +405,19 @@ let run_server ~quota ~exe =
             Server.Frontend.with_binary_connection ~path:sock (fun send ->
                 Server.Loadgen.run_binary ~send warmup)
           in
-          let text : Server.Loadgen.report =
-            Server.Frontend.with_connection ~path:sock (fun send ->
-                Server.Loadgen.run_with ~send config)
-          in
-          let binary : Server.Loadgen.report =
-            Server.Frontend.with_binary_connection ~path:sock (fun send ->
-                Server.Loadgen.run_binary ~send config)
+          let pairs =
+            List.init server_pairs (fun _ ->
+                Gc.full_major ();
+                let text =
+                  Server.Frontend.with_connection ~path:sock (fun send ->
+                      Server.Loadgen.run_with ~send config)
+                in
+                Gc.full_major ();
+                let binary =
+                  Server.Frontend.with_binary_connection ~path:sock (fun send ->
+                      Server.Loadgen.run_binary ~send config)
+                in
+                (text.Server.Loadgen.throughput, binary.Server.Loadgen.throughput))
           in
           let open_cfg =
             { Server.Loadgen.open_default with
@@ -403,15 +434,16 @@ let run_server ~quota ~exe =
           let lat = open_r.Server.Loadgen.latency in
           List.sort Stdlib.compare
             [
-              { name = "server-text-warm-rps"; value = text.Server.Loadgen.throughput;
+              { name = "server-text-warm-rps"; value = median (List.map fst pairs);
                 unit = Per_s };
-              { name = "server-binary-warm-rps"; value = binary.Server.Loadgen.throughput;
+              { name = "server-binary-warm-rps"; value = median (List.map snd pairs);
                 unit = Per_s };
               { name = "server-binary-vs-text-speedup";
                 value =
-                  (if text.Server.Loadgen.throughput > 0.0 then
-                     binary.Server.Loadgen.throughput /. text.Server.Loadgen.throughput
-                   else 0.0);
+                  median
+                    (List.map
+                       (fun (text, binary) -> if text > 0.0 then binary /. text else 0.0)
+                       pairs);
                 unit = Ratio };
               { name = "server-open-10k-p50-us"; value = lat.Netsim.Stats.p50_latency;
                 unit = Us };
@@ -423,7 +455,7 @@ let run_server ~quota ~exe =
                 value = float_of_int open_r.Server.Loadgen.dropped; unit = Count };
             ]))
 
-let run_core ~quota ~exe:_ =
+let run_core ~quota =
   let open Bechamel in
   let cheb2 = Prototile.chebyshev_ball ~dim:2 2 in
   let cheb2_tiling = Option.get (Tiling.Search.find_tiling cheb2) in
@@ -436,21 +468,30 @@ let run_core ~quota ~exe:_ =
   let sz_period = Sublattice.of_basis [| [| 4; 0 |]; [| 0; 4 |] |] in
   let s_tet = Prototile.tetromino `S and z_tet = Prototile.tetromino `Z in
   (* EXP-P2 workload: S/Z tetrominoes on the 4x8 torus, all 1024
-     solutions, sequentially (jobs = 1).  [torus-all-*] is pure
-     enumeration through {!Tiling.Search.count_torus_covers} - the
-     engine comparison proper; [torus-mat-*] is the end-to-end
-     materializing search, whose engines share the [Multi.t]
-     construction and retention cost (the Amdahl floor EXP-P2
-     documents). *)
+     solutions, sequentially (jobs = 1): the bitmask kernel of
+     {!Tiling.Search} against the two oracles of [Oracle.Torus].
+     [torus-all-*] is pure enumeration ({!Tiling.Search.count_torus_covers},
+     [Oracle.Torus.count]) - the engine comparison proper;
+     [torus-mat-*] is the end-to-end materializing search, which adds
+     the [Multi.t] construction and retention cost (the Amdahl floor
+     EXP-P2 documents). *)
   let sz48_period = Sublattice.of_basis [| [| 4; 0 |]; [| 0; 8 |] |] in
+  let sz = [ s_tet; z_tet ] in
   let seq_pool = Parallel.create ~jobs:1 in
-  let torus_all engine () =
-    Tiling.Search.count_torus_covers ~period:sz48_period ~prototiles:[ s_tet; z_tet ] ~engine
-      ~pool:seq_pool ()
+  let torus_all = function
+    | `Bitmask ->
+      fun () -> Tiling.Search.count_torus_covers ~period:sz48_period ~prototiles:sz ~pool:seq_pool ()
+    | (`Backtracking | `Dlx) as engine ->
+      fun () -> Oracle.Torus.count ~engine ~period:sz48_period ~prototiles:sz
   in
-  let torus_mat engine () =
-    Tiling.Search.cover_torus ~period:sz48_period ~prototiles:[ s_tet; z_tet ]
-      ~max_solutions:max_int ~engine ~pool:seq_pool ()
+  let torus_mat = function
+    | `Bitmask ->
+      fun () ->
+        Tiling.Search.cover_torus ~period:sz48_period ~prototiles:sz ~max_solutions:max_int
+          ~pool:seq_pool ()
+    | (`Backtracking | `Dlx) as engine ->
+      fun () ->
+        Oracle.Torus.covers ~engine ~period:sz48_period ~prototiles:sz ~max_solutions:max_int ()
   in
   let g8, _ = Coloring.Graph.lattice_window ~prototile:cheb1 ~width:8 ~height:8 in
   let sim_cfg =

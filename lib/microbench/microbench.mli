@@ -1,7 +1,7 @@
-(** The benchmark harness behind [tilesched bench] and the experiment
-    runner ([bench/main.exe]): one registry of suites, each declaring
-    the rows it must report, their units, and the gates its numbers
-    must clear.
+(** The benchmark harness behind [bench/main.exe] (its [suite]
+    command and its experiment sections): one registry of suites, each
+    declaring the rows it must report, their units, and the gates its
+    numbers must clear.
 
     A suite run yields typed rows [{name; value; unit}].  The artifact
     is one JSON object [{"suite": S, "rows": [...]}], so a file names
@@ -38,11 +38,13 @@ type suite = {
   required : (string * unit_) list;
       (** rows every run must report, with their units *)
   gates : gate list;
-  run : quota:float -> exe:string -> row list;
+  run : quota:float -> row list;
       (** [quota] is the Bechamel time budget per benchmark in seconds
-          ([> 0]; small values make a smoke run); [exe] is the
-          [tilesched] binary, which the server suite spawns as its
-          daemon. *)
+          ([> 0]; small values make a smoke run).  The server suite
+          spawns its daemon from [bin/tilesched.exe] in the build tree
+          of the running executable, one directory up from the
+          executable's own, and raises [Failure] naming that path when
+          it is missing. *)
 }
 
 val suites : suite list

@@ -40,15 +40,13 @@ let find_lattice_tiling p =
 
 type placement = { piece : int; anchor : Vec.t; covers : int list }
 
-type engine = [ `Backtracking | `Bitmask | `Dlx ]
-
 let rec take n = function [] -> [] | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
 
-(* Mutable search state of the [`Bitmask] engine; one per task, created
+(* Mutable search state of the exact-cover kernel; one per task, created
    inside the task, so the Parallel closures stay pure (lint R3).
    Invariants between calls:
    - [live] = placements compatible with everything placed so far, i.e.
-     exactly the placements the list engine's [free] test would accept;
+     those covering no covered cell;
    - [counts.(c)] = number of live placements covering cell [c];
    - [cell_next]/[cell_prev] = doubly-linked list of the uncovered
      cells in ascending cell order, with sentinel node [idx], so cell
@@ -80,9 +78,9 @@ type mask_state = {
    [Multi.t] solutions, truncated to [max_solutions]) and
    [count_torus_covers] (collect = false: traverse the same tree, same
    order, but only count - no per-solution allocation at all when [keep]
-   is absent).  Engine runners return [(raw solutions, count)]; in
+   is absent).  The solver returns [(raw solutions, count)]; in
    counting mode the list stays empty. *)
-let torus_run ~period ~prototiles ~max_solutions ~engine ~keep ~pool ~collect =
+let torus_run ~period ~prototiles ~max_solutions ~keep ~pool ~collect =
   let idx = Sublattice.index period in
   let anchors = Sublattice.cosets period in
   let placements =
@@ -132,8 +130,8 @@ let torus_run ~period ~prototiles ~max_solutions ~engine ~keep ~pool ~collect =
     Multi.of_search_cover ~period (per_piece 0 prototiles)
   in
   (* Only solutions passing [keep] are recorded or counted against the
-     budget, in every engine and every stolen subtree - so filtered
-     searches keep the same prefix/identity guarantees. *)
+     budget, in every stolen subtree - so filtered searches keep the
+     same prefix/identity guarantees. *)
   let keep_raw = match keep with None -> fun _ -> true | Some f -> fun sol -> f (to_multi sol) in
   (* Merge of the stealing scheduler's output: [Steal.run] returns the
      per-subtree chunks already sorted by canonical path key, i.e. in
@@ -150,92 +148,13 @@ let torus_run ~period ~prototiles ~max_solutions ~engine ~keep ~pool ~collect =
   let trivial_root () =
     if not (keep_raw [||]) then ([], 0) else if collect then ([ [||] ], 1) else ([], 1)
   in
-  (* by_cell.(c) = placements covering cell c, in placement order -
-     ascending construction order, which is also DLX's row order in a
-     column, so all three engines branch candidates identically. *)
+  (* by_cell.(c) = placements covering cell c, in placement order: the
+     candidates a branch on cell c tries, in the order it tries them. *)
   let by_cell = Array.make idx [] in
   Array.iteri
     (fun q pl -> List.iter (fun c -> by_cell.(c) <- q :: by_cell.(c)) pl.covers)
     placement_arr;
   let by_cell = Array.map (fun l -> Array.of_list (List.rev l)) by_cell in
-  let free covered q = List.for_all (fun c -> not covered.(c)) placement_arr.(q).covers in
-  (* Most-constrained uncovered cell and its free placements; every
-     engine branches on this cell first (first strict minimum in cell
-     order), so all three enumerate in the same order. *)
-  let best_cell covered =
-    let best = ref (-1) in
-    let best_cands = ref [||] in
-    let best_n = ref max_int in
-    for c = 0 to idx - 1 do
-      if (not covered.(c)) && !best_n > 0 then begin
-        let cands = Array.of_list (List.filter (free covered) (Array.to_list by_cell.(c))) in
-        let n = Array.length cands in
-        if n < !best_n then begin
-          best := c;
-          best_cands := cands;
-          best_n := n
-        end
-      end
-    done;
-    (!best, !best_cands)
-  in
-  (* The list backtracker, kept as a sequential oracle. *)
-  let bt_solve () =
-    let budget = max_solutions in
-    let solutions = ref [] in
-    let count = ref 0 in
-    let covered = Array.make idx false in
-    (* [chosen.(0 .. lvl-1)] is the current branch in chronological order. *)
-    let chosen = Array.make (max 1 idx) 0 in
-    let lvl = ref 0 in
-    let rec solve () =
-      if !count >= budget then ()
-      else begin
-        let best, best_cands = best_cell covered in
-        if best < 0 then begin
-          (* Everything covered.  In counting mode with no filter nothing
-             is materialized at all; with a filter the solution array is
-             still built (the filter needs it) but not retained. *)
-          if collect then begin
-            let sol = Array.sub chosen 0 !lvl in
-            if keep_raw sol then begin
-              solutions := sol :: !solutions;
-              incr count
-            end
-          end
-          else (
-            match keep with
-            | None -> incr count
-            | Some _ -> if keep_raw (Array.sub chosen 0 !lvl) then incr count)
-        end
-        else
-          Array.iter
-            (fun q ->
-              if !count < budget && free covered q then begin
-                List.iter (fun c -> covered.(c) <- true) placement_arr.(q).covers;
-                chosen.(!lvl) <- q;
-                incr lvl;
-                solve ();
-                decr lvl;
-                List.iter (fun c -> covered.(c) <- false) placement_arr.(q).covers
-              end)
-            best_cands
-      end
-    in
-    solve ();
-    (List.rev !solutions, !count)
-  in
-  let rows = List.map (fun pl -> pl.covers) placements in
-  let dlx_keep =
-    match keep with
-    | None -> None
-    | Some _ -> Some (fun sol -> keep_raw (Array.of_list sol))
-  in
-  (* DLX emits placement-index lists already filtered by [dlx_keep]. *)
-  let dlx_results l =
-    if collect then (List.map Array.of_list l, List.length l) else ([], List.length l)
-  in
-  (* ---- [`Bitmask] engine -------------------------------------------- *)
   (* Static tables, precomputed once and shared read-only across tasks:
      [conflict_list.(q)] = every placement overlapping q, q itself
      included, as a plain index array; [covers_start]/[covers_flat] =
@@ -344,9 +263,9 @@ let torus_run ~period ~prototiles ~max_solutions ~engine ~keep ~pool ~collect =
         Array.unsafe_set prv n c
       done
     in
-    (* Same selection rule as [best_cell] - the first strict minimum of
-       the candidate count over uncovered cells, in cell order - read
-       straight from the incremental [counts].  The scan may stop at a
+    (* The branching rule - the first strict minimum of the candidate
+       count over uncovered cells, in cell order - read straight from
+       the incremental [counts].  The scan may stop at a
        count <= 1: a later cell can displace a 1 only with a 0, and both
        choices enumerate nothing (a 0-candidate cell can never be
        covered again, since counts only decrease along a branch), so the
@@ -404,9 +323,9 @@ let torus_run ~period ~prototiles ~max_solutions ~engine ~keep ~pool ~collect =
           else begin
             (* Branch on the cell's static candidate row, re-testing
                liveness at visit time: [live] is restored between
-               siblings, so the test equals the list engine's
-               per-candidate freeness test - same candidates, same
-               ascending order. *)
+               siblings, so the test equals a freeness test (no cell of
+               the candidate covered) - same candidates, same ascending
+               order as a plain list backtracker. *)
             let cands = Array.unsafe_get by_cell best in
             let lw = Bitset.unsafe_words st.live in
             for i = 0 to Array.length cands - 1 do
@@ -615,25 +534,18 @@ let torus_run ~period ~prototiles ~max_solutions ~engine ~keep ~pool ~collect =
     in
     if Parallel.jobs pool <= 1 then bm_solve () else bm_steal ()
   in
-  let raw_solutions, total =
-    match engine with
-    | `Bitmask -> bm_run ()
-    | `Backtracking -> bt_solve ()
-    | `Dlx -> dlx_results (Dlx.solve ~max_solutions ?keep:dlx_keep (Dlx.create ~universe:idx rows))
-  in
+  let raw_solutions, total = bm_run () in
   if collect then `Sols (List.map to_multi raw_solutions) else `Count total
 
-let cover_torus ~period ~prototiles ?(max_solutions = 64) ?(engine = `Bitmask) ?keep ?pool () =
+let cover_torus ~period ~prototiles ?(max_solutions = 64) ?keep ?pool () =
   let pool = match pool with Some pl -> pl | None -> Parallel.default () in
-  match torus_run ~period ~prototiles ~max_solutions ~engine ~keep ~pool ~collect:true with
+  match torus_run ~period ~prototiles ~max_solutions ~keep ~pool ~collect:true with
   | `Sols sols -> sols
   | `Count _ -> assert false
 
-let count_torus_covers ~period ~prototiles ?(engine = `Bitmask) ?pool () =
+let count_torus_covers ~period ~prototiles ?pool () =
   let pool = match pool with Some pl -> pl | None -> Parallel.default () in
-  match
-    torus_run ~period ~prototiles ~max_solutions:max_int ~engine ~keep:None ~pool ~collect:false
-  with
+  match torus_run ~period ~prototiles ~max_solutions:max_int ~keep:None ~pool ~collect:false with
   | `Count n -> n
   | `Sols _ -> assert false
 
@@ -720,9 +632,9 @@ let canonical_cover_key ~period mt =
       (cover_key ~period ~shift:u0 mt)
       us
 
-let distinct_torus_covers ~period ~prototiles ?max_classes ?(engine = `Bitmask) ?pool () =
+let distinct_torus_covers ~period ~prototiles ?max_classes ?pool () =
   let budget = match max_classes with Some k -> k | None -> max_int in
-  let covers = cover_torus ~period ~prototiles ~max_solutions:max_int ~engine ?pool () in
+  let covers = cover_torus ~period ~prototiles ~max_solutions:max_int ?pool () in
   let seen = Hashtbl.create 64 in
   let reps = ref [] in
   let kept = ref 0 in
@@ -742,7 +654,7 @@ let distinct_torus_covers ~period ~prototiles ?max_classes ?(engine = `Bitmask) 
 (* --- Exact cover of a finite region -------------------------------------- *)
 
 (* The repair kernel of [lib/lifetime]: cover a finite damaged window by
-   whole prototile translates.  Same branching rule as the torus engines
+   whole prototile translates.  Same branching rule as the torus kernel
    (first strict-minimum uncovered cell, candidates in ascending
    translation order) on the same Bitset representation, but sequential -
    repair windows are a few tiles, never a search tree worth splitting.

@@ -1,6 +1,6 @@
 (** Finding tilings and deciding exactness (question Q1 of the paper).
 
-    Three engines, by generality:
+    Three procedures, by generality:
 
     - {!lattice_tilings}: enumerate all sublattices of index [|N|] and keep
       those for which the prototile's cells form a complete residue
@@ -32,30 +32,10 @@ val find_lattice_tiling : Lattice.Prototile.t -> Single.t option
     The enumeration runs sequentially and stops at that lattice, so it
     never builds the rest of the list. *)
 
-type engine = [ `Backtracking | `Bitmask | `Dlx ]
-(** Exact-cover solvers behind {!cover_torus}, all enumerating the
-    {e same} solutions in the {e same} order (the differential tests
-    assert list equality, not set equality):
-
-    - [`Bitmask] (the default): word-parallel kernel on {!Bitset} masks.
-      Each placement's cover mask (cells) and conflict mask (overlapping
-      placements) are precomputed once; the live-placement set and
-      per-cell live-candidate counts are updated incrementally on
-      place/unplace, so cell selection is O(cells) integer reads and
-      candidate freeness is one bit test.
-    - [`Backtracking]: the simple most-constrained-cell list
-      backtracker, kept as a differential oracle.
-    - [`Dlx]: Knuth's Algorithm X with dancing links ({!Dlx}), the
-      second oracle.
-
-    Only [`Bitmask] runs in parallel; the two oracles always run
-    sequentially, whatever the pool. *)
-
 val cover_torus :
   period:Lattice.Sublattice.t ->
   prototiles:Lattice.Prototile.t list ->
   ?max_solutions:int ->
-  ?engine:engine ->
   ?keep:(Multi.t -> bool) ->
   ?pool:Parallel.pool ->
   unit ->
@@ -66,23 +46,29 @@ val cover_torus :
     Prototiles unused by a particular solution are dropped from its piece
     list.
 
-    [keep] filters {e during} the search: only solutions it accepts are
-    returned or counted against [max_solutions], in every engine and
-    every parallel subtree, so a filtered search stops as soon as enough
-    acceptable covers exist instead of over-sampling (default: keep
-    everything).  The result equals
-    [List.filter keep (unfiltered enumeration)] truncated to
-    [max_solutions].
+    The solver is a word-parallel kernel on {!Bitset} masks.  Each
+    placement's cover mask (cells) and conflict list (overlapping
+    placements) are precomputed once; the live-placement set and
+    per-cell live-candidate counts are updated incrementally on
+    place/unplace, so cell selection is O(cells) integer reads and
+    candidate freeness is one bit test.  Its branching rule is a plain
+    backtracker's - first strict-minimum uncovered cell, candidates in
+    placement order (prototile-major, anchors in
+    {!Lattice.Sublattice.cosets} order) - so the ordered solution list is
+    what a list backtracker or dancing links returns; the tests hold it
+    to two such oracles kept outside the library.
 
-    All engines share one branching rule - first strict-minimum
-    uncovered cell, candidates in placement order - so they return
-    identical ordered lists; [`Bitmask] is the fast path, the other two
-    are oracles ({!engine}).
+    [keep] filters {e during} the search: only solutions it accepts are
+    returned or counted against [max_solutions], in every parallel
+    subtree, so a filtered search stops as soon as enough acceptable
+    covers exist instead of over-sampling (default: keep everything).
+    The result equals [List.filter keep (unfiltered enumeration)]
+    truncated to [max_solutions].
 
     {b Determinism contract.}  With a [pool] of more than one domain
-    (default {!Parallel.default}), the [`Bitmask] search splits at the
-    root branching cell - the most constrained cell, which is also the
-    first column the sequential engines branch on.  One task per
+    (default {!Parallel.default}), the search splits at the root
+    branching cell - the most constrained cell, which is also the first
+    cell the sequential search branches on.  One task per
     candidate placement is seeded over the {!Parallel.Steal} deques
     longest-first (a live-placement-count cost model); tasks migrate by
     work stealing, and a running subtree {e re-splits lazily} when a
@@ -98,24 +84,22 @@ val cover_torus :
 val count_torus_covers :
   period:Lattice.Sublattice.t ->
   prototiles:Lattice.Prototile.t list ->
-  ?engine:engine ->
   ?pool:Parallel.pool ->
   unit ->
   int
 (** Number of exact covers of the quotient - the length of the full
     {!cover_torus} enumeration ([max_solutions = max_int], no [keep]) -
-    without materializing any solution.  The engines traverse exactly
+    without materializing any solution.  The search traverses exactly
     the same tree in the same order as {!cover_torus}; skipping
     per-solution recording and {!Multi.t} construction is what makes
     counting the pure measure of search speed (EXP-P2 benches both).
-    Engine and pool semantics are as in {!cover_torus}; every engine and
-    every pool size returns the same count. *)
+    Pool semantics are as in {!cover_torus}; every pool size returns the
+    same count. *)
 
 val distinct_torus_covers :
   period:Lattice.Sublattice.t ->
   prototiles:Lattice.Prototile.t list ->
   ?max_classes:int ->
-  ?engine:engine ->
   ?pool:Parallel.pool ->
   unit ->
   Multi.t list
@@ -134,8 +118,8 @@ val distinct_torus_covers :
     these classes are the raw material for duty-cycle rotation
     ([Lifetime.Rotation]).  The underlying enumeration is exhaustive
     ([max_solutions = max_int]), so this is for the small periods
-    rotation actually uses; engine/pool semantics (and determinism) are
-    those of {!cover_torus}. *)
+    rotation actually uses; pool semantics (and determinism) are those
+    of {!cover_torus}. *)
 
 val cover_region :
   region:Zgeom.Vec.t list ->
@@ -150,7 +134,7 @@ val cover_region :
     is the sorted list of translations [t] with the [t + N] partitioning
     the region.  Candidate translations are exactly those with
     [t + N] inside the region, tried in ascending {!Zgeom.Vec.compare}
-    order under the engines' shared branching rule (first strict-minimum
+    order under {!cover_torus}'s branching rule (first strict-minimum
     uncovered cell), so the enumeration order is deterministic.  [keep]
     filters during the search, as in {!cover_torus}: only accepted
     solutions count against [max_solutions].  Duplicate region cells are

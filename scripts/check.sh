@@ -27,17 +27,21 @@ fi
 dune build @all
 dune runtest
 
-# Link guard: the daemon binary must not carry the OCaml compiler.  The
-# analyzer's compiler-libs are linked with -linkall, so any library of
-# bin/tilesched.exe that depends on lib/lint pulls the whole type checker
-# into every daemon start (DESIGN.md section 10).
+# Link guard: the daemon binary links only what it serves.  No OCaml
+# compiler (the analyzer's compiler-libs are linked with -linkall, so
+# any library of bin/tilesched.exe that depends on lib/lint pulls the
+# whole type checker into every daemon start), no benchmark harness
+# (Bechamel, lib/microbench), no load generator and no test oracle
+# (DESIGN.md section 10).
 daemon=_build/default/bin/tilesched.exe
 symbols=$(nm "$daemon")
-linked=$(printf '%s\n' "$symbols" | grep -c camlTypemod || true)
-if [ "$linked" -ne 0 ]; then
-  echo "error: $daemon links compiler-libs ($linked camlTypemod symbols)" >&2
-  exit 1
-fi
+for prefix in camlTypemod camlBechamel camlMicrobench camlServer__Loadgen camlTiling__Dlx; do
+  linked=$(printf '%s\n' "$symbols" | grep -c "$prefix" || true)
+  if [ "$linked" -ne 0 ]; then
+    echo "error: $daemon links $prefix ($linked symbols)" >&2
+    exit 1
+  fi
+done
 
 # Project-invariant static analysis (DESIGN.md sections 10 and 15):
 # the syntactic rules (determinism, forbidden constructs, Parallel task
@@ -78,21 +82,22 @@ rm -f "$sarif_out"
 # Every benchmark suite must stay machine-readable end to end: a
 # tiny-quota run writes its artifact, and the validator re-reads it
 # (schema, the suite's required rows and units, its gates).  The server
-# suite's open-loop leg holds 10k client sockets in the bench process
-# and 10k accepted ones in the daemon, so raise the fd soft limit where
-# the hard limit allows.
+# suite spawns bin/tilesched.exe (built above) as its daemon; its
+# open-loop leg holds 10k client sockets in the bench process and 10k
+# accepted ones in the daemon, so raise the fd soft limit where the
+# hard limit allows.
 ulimit -n 20000 2>/dev/null || true
 for suite in core skew lifetime corpus server; do
   smoke=/tmp/tilesched-bench-$suite-smoke.json
-  dune exec bin/tilesched.exe -- bench "$suite" --json "$smoke" --quota 0.02 > /dev/null
-  dune exec bin/tilesched.exe -- bench --validate "$smoke"
+  dune exec bench/main.exe -- suite "$suite" --json "$smoke" --quota 0.02 > /dev/null
+  dune exec bench/main.exe -- suite --validate "$smoke"
   rm -f "$smoke"
 done
 
 # Every committed BENCH_*.json names its suite and must pass that
 # suite's checks, so a stale or regressed in-repo artifact fails fast.
 for artifact in $(git ls-files 'BENCH_*.json'); do
-  dune exec bin/tilesched.exe -- bench --validate "$artifact"
+  dune exec bench/main.exe -- suite --validate "$artifact"
 done
 
 # Corpus pipeline smoke: a tiny campaign must build, report the exact

@@ -9,10 +9,9 @@
     This is the classic doubly-linked-list formulation: columns are
     universe elements, rows are subsets, and covering/uncovering a column
     splices nodes out of and back into circular lists in O(1) - which
-    makes backtracking cheap.  {!Search.cover_torus} uses this engine as
-    a differential oracle next to its list backtracker and the default
-    {!Bitset}-based kernel; tests check all three agree exactly and the
-    benchmark compares them. *)
+    makes backtracking cheap.  {!Torus} runs it as a differential oracle
+    for [Tiling.Search.cover_torus], next to its list backtracker; tests
+    check all three agree exactly and the benchmark compares them. *)
 
 type problem
 

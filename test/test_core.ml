@@ -551,7 +551,7 @@ let test_codec_csv () =
       Alcotest.(check string) "csv line" expected line)
     lines dom
 
-(* --- Re-proof kernel against the set-based reference (test/reference.ml) --- *)
+(* --- Re-proof kernel against the set-based reference (test/oracle/reference.ml) --- *)
 
 (* The re-proof must return exactly the reference's value, failure and
    violation record included, on honest certificates and on the ways a
@@ -609,9 +609,9 @@ let mutate (cert : Core.Certificate.t) mutant =
 let kernel_agrees (cert : Core.Certificate.t) =
   let n = cert.prototile in
   let diff_bound = Prototile.difference_set n in
-  Core.Certificate.check cert = Reference.check cert
+  Core.Certificate.check cert = Oracle.Reference.check cert
   && Core.Collision.violations ~neighborhoods:(fun _ -> n) ~diff_bound cert.schedule
-     = Reference.violations ~neighborhoods:(fun _ -> n) ~diff_bound cert.schedule
+     = Oracle.Reference.violations ~neighborhoods:(fun _ -> n) ~diff_bound cert.schedule
 
 let qcheck_reproof_matches_reference =
   let gen =
@@ -678,7 +678,7 @@ let qcheck_multi_matches_reference =
           Prototile.difference_set (Prototile.of_cells (Tiling.Multi.union_cells multi))
         in
         Core.Collision.violations_multi multi s
-        = Reference.violations ~neighborhoods ~diff_bound s)
+        = Oracle.Reference.violations ~neighborhoods ~diff_bound s)
 
 let qc = QCheck_alcotest.to_alcotest
 

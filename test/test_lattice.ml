@@ -179,6 +179,23 @@ let test_of_ascii_rejects () =
   Alcotest.(check bool) "bad char" true (bad "#X\nO#");
   Alcotest.(check bool) "empty" true (bad "")
 
+(* The command-line tile names: every name of the load generator's
+   catalogue reads back as its tile, and malformed names are errors. *)
+let test_of_name () =
+  List.iter
+    (fun (name, tile) ->
+      match Prototile.of_name name with
+      | Ok t -> Alcotest.(check bool) name true (Prototile.equal t tile)
+      | Error e -> Alcotest.failf "%s: %s" name e)
+    (("dir", Prototile.directional) :: ("euclid1", Prototile.euclidean_ball ~dim:2 1)
+     :: ("manhattan2", Prototile.manhattan_ball ~dim:2 2)
+     :: ("cells:0,0;2,2", Prototile.of_cells [ Vec.make2 0 0; Vec.make2 2 2 ])
+     :: Server.Loadgen.default_tiles);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) name true (Result.is_error (Prototile.of_name name)))
+    [ "tet-Q"; "pent-"; "rectx"; "cheb"; "cells:1,1"; "cells:0,0;2"; "bogus"; "" ]
+
 let test_euclidean_ball_sq_counts () =
   (* r^2 = 5 admits the 21-point disk; r^2 = 2 the 3x3 block. *)
   Alcotest.(check int) "r2=5" 21 (Prototile.size (Prototile.euclidean_ball_sq ~dim:2 5));
@@ -570,6 +587,7 @@ let () =
           Alcotest.test_case "euclidean_ball_sq" `Quick test_euclidean_ball_sq_counts;
           Alcotest.test_case "of_ascii" `Quick test_of_ascii;
           Alcotest.test_case "of_ascii rejects" `Quick test_of_ascii_rejects;
+          Alcotest.test_case "of_name" `Quick test_of_name;
           Alcotest.test_case "bounding box" `Quick test_bounding_box;
         ] );
       ( "symmetry",

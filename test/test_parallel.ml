@@ -104,22 +104,52 @@ let test_lattice_tilings_deterministic () =
 
 let sz_period = lazy (Sublattice.of_basis [| [| 4; 0 |]; [| 0; 4 |] |])
 
-let engines : (Tiling.Search.engine * string) list =
-  [ (`Backtracking, "bt"); (`Dlx, "dlx"); (`Bitmask, "bitmask") ]
+(* The bitmask kernel and the two oracles of [Oracle.Torus]; the oracles
+   run sequentially and ignore the pool. *)
+type engine = {
+  ename : string;
+  parallel : bool;
+  covers :
+    period:Sublattice.t ->
+    prototiles:Prototile.t list ->
+    max_solutions:int ->
+    Parallel.pool ->
+    Tiling.Multi.t list;
+  count : period:Sublattice.t -> prototiles:Prototile.t list -> Parallel.pool -> int;
+}
+
+let engines =
+  let oracle ename engine =
+    { ename;
+      parallel = false;
+      covers =
+        (fun ~period ~prototiles ~max_solutions _ ->
+          Oracle.Torus.covers ~engine ~period ~prototiles ~max_solutions ());
+      count = (fun ~period ~prototiles _ -> Oracle.Torus.count ~engine ~period ~prototiles) }
+  in
+  [ oracle "bt" `Backtracking;
+    oracle "dlx" `Dlx;
+    { ename = "bitmask";
+      parallel = true;
+      covers =
+        (fun ~period ~prototiles ~max_solutions pool ->
+          Tiling.Search.cover_torus ~period ~prototiles ~max_solutions ~pool ());
+      count =
+        (fun ~period ~prototiles pool ->
+          Tiling.Search.count_torus_covers ~period ~prototiles ~pool ()) } ]
 
 let test_cover_torus_deterministic () =
   let period = Lazy.force sz_period in
   let prototiles = [ Prototile.tetromino `S; Prototile.tetromino `Z ] in
   List.iter
-    (fun (engine, ename) ->
+    (fun e ->
       (* Both the truncated list (budget bites mid-merge) and the full
          enumeration must be reproduced. *)
       List.iter
         (fun max_solutions ->
           check_jobs_invariant
-            (Printf.sprintf "cover_torus %s max=%d" ename max_solutions)
-            (fun pool ->
-              Tiling.Search.cover_torus ~period ~prototiles ~max_solutions ~engine ~pool ()))
+            (Printf.sprintf "cover_torus %s max=%d" e.ename max_solutions)
+            (e.covers ~period ~prototiles ~max_solutions))
         [ 7; 50; 1000 ])
     engines
 
@@ -129,9 +159,9 @@ let test_cover_torus_multi_prototile_deterministic () =
   let period = Sublattice.of_basis [| [| 5; 0 |]; [| 0; 2 |] |] in
   let prototiles = [ Prototile.rect 2 2; Prototile.of_cells [ Zgeom.Vec.zero 2 ] ] in
   List.iter
-    (fun (engine, _) ->
-      check_jobs_invariant "cover_torus squares+singles" (fun pool ->
-          Tiling.Search.cover_torus ~period ~prototiles ~max_solutions:200 ~engine ~pool ()))
+    (fun e ->
+      check_jobs_invariant "cover_torus squares+singles"
+        (e.covers ~period ~prototiles ~max_solutions:200))
     engines
 
 let rec take n = function [] -> [] | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
@@ -168,10 +198,10 @@ let test_three_way_engine_oracle () =
           (poly () :: (if draw 2 = 0 then [ poly () ] else []))
           @ [ Prototile.of_cells [ Zgeom.Vec.zero 2 ] ]
         in
-        let solve ~engine ~pool ~max_solutions =
-          Tiling.Search.cover_torus ~period ~prototiles ~max_solutions ~engine ~pool ()
+        let reference =
+          Tiling.Search.cover_torus ~period ~prototiles ~max_solutions:100_000
+            ~pool:(List.assoc 1 pools) ()
         in
-        let reference = solve ~engine:`Bitmask ~pool:(List.assoc 1 pools) ~max_solutions:100_000 in
         let len = List.length reference in
         (* Every short prefix, then a sparse ladder up to and past the
            full enumeration - the budget must bite correctly at every
@@ -181,20 +211,20 @@ let test_three_way_engine_oracle () =
             (List.filter (fun m -> m >= 1) [ 1; 2; 3; 5; 8; 13; len - 1; len; len + 7 ])
         in
         List.iter
-          (fun (engine, ename) ->
-            let engine_pools = if engine = `Bitmask then pools else [ List.hd pools ] in
+          (fun e ->
+            let engine_pools = if e.parallel then pools else [ List.hd pools ] in
             List.iter
               (fun (jobs, pool) ->
-                let full = solve ~engine ~pool ~max_solutions:100_000 in
+                let full = e.covers ~period ~prototiles ~max_solutions:100_000 pool in
                 Alcotest.(check bool)
-                  (Printf.sprintf "instance %d: %s jobs=%d = reference" instance ename jobs)
+                  (Printf.sprintf "instance %d: %s jobs=%d = reference" instance e.ename jobs)
                   true (full = reference);
                 List.iter
                   (fun m ->
-                    let truncated = solve ~engine ~pool ~max_solutions:m in
+                    let truncated = e.covers ~period ~prototiles ~max_solutions:m pool in
                     Alcotest.(check bool)
                       (Printf.sprintf "instance %d: %s jobs=%d max=%d is a prefix" instance
-                         ename jobs m)
+                         e.ename jobs m)
                       true
                       (truncated = take m reference))
                   prefixes)
@@ -211,14 +241,11 @@ let test_count_matches_enumeration () =
       List.length (Tiling.Search.cover_torus ~period ~prototiles ~max_solutions:max_int ())
     in
     List.iter
-      (fun (engine, ename) ->
+      (fun e ->
         List.iter
           (fun jobs ->
-            let n =
-              Parallel.with_pool ~jobs (fun pool ->
-                  Tiling.Search.count_torus_covers ~period ~prototiles ~engine ~pool ())
-            in
-            Alcotest.(check int) (Printf.sprintf "%s: %s jobs=%d" label ename jobs) expected n)
+            let n = Parallel.with_pool ~jobs (e.count ~period ~prototiles) in
+            Alcotest.(check int) (Printf.sprintf "%s: %s jobs=%d" label e.ename jobs) expected n)
           [ 1; 2; 4 ])
       engines
   in

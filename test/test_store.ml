@@ -251,7 +251,7 @@ let test_rejected_certificate_dropped () =
         Core.Schedule.of_table ~period ~num_slots:(Core.Schedule.num_slots cert.schedule)
           (Array.make (Sublattice.index period) 0) }
   in
-  (match Reference.check colliding with
+  (match Oracle.Reference.check colliding with
   | Error (Core.Certificate.Not_collision_free _) -> ()
   | _ -> Alcotest.fail "the forged schedule must collide");
   let forged =

@@ -159,45 +159,7 @@ let test_multi_rejects_empty_piece () =
   | Ok _ -> Alcotest.fail "empty piece accepted"
   | Error _ -> ()
 
-(* --- Dlx --- *)
-
-let test_dlx_basic () =
-  (* Knuth's classic example: universe {0..6}, 6 subsets, one solution
-     {B, D, F} = indices {1, 3, 5}. *)
-  let problem =
-    Tiling.Dlx.create ~universe:7
-      [ [ 2; 4; 5 ]; [ 0; 3; 6 ]; [ 1; 2; 5 ]; [ 0; 3 ]; [ 1; 6 ]; [ 3; 4; 6 ] ]
-  in
-  Alcotest.(check (list (list int))) "unique solution" [ [ 0; 3; 4 ] ]
-    (Tiling.Dlx.solve problem)
-
-let test_dlx_no_solution () =
-  let problem = Tiling.Dlx.create ~universe:3 [ [ 0; 1 ]; [ 1; 2 ] ] in
-  Alcotest.(check (list (list int))) "no cover" [] (Tiling.Dlx.solve problem)
-
-let test_dlx_counts () =
-  (* Universe {0,1} with subsets {0},{1},{0,1}: two covers. *)
-  let problem = Tiling.Dlx.create ~universe:2 [ [ 0 ]; [ 1 ]; [ 0; 1 ] ] in
-  Alcotest.(check int) "two covers" 2 (Tiling.Dlx.count problem);
-  Alcotest.(check int) "limit respected" 1 (Tiling.Dlx.count ~limit:1 problem)
-
-let test_dlx_empty_universe () =
-  let problem = Tiling.Dlx.create ~universe:0 [] in
-  Alcotest.(check (list (list int))) "empty cover of nothing" [ [] ] (Tiling.Dlx.solve problem)
-
-let test_dlx_reusable () =
-  (* Solving twice gives identical results (links fully restored). *)
-  let problem = Tiling.Dlx.create ~universe:2 [ [ 0 ]; [ 1 ]; [ 0; 1 ] ] in
-  let a = Tiling.Dlx.solve problem in
-  let b = Tiling.Dlx.solve problem in
-  Alcotest.(check (list (list int))) "idempotent" a b
-
-let test_dlx_rejects_bad_input () =
-  let bad f = match f () with exception Invalid_argument _ -> true | _ -> false in
-  Alcotest.(check bool) "out of range" true
-    (bad (fun () -> Tiling.Dlx.create ~universe:2 [ [ 5 ] ]));
-  Alcotest.(check bool) "duplicate in subset" true
-    (bad (fun () -> Tiling.Dlx.create ~universe:3 [ [ 1; 1 ] ]))
+(* --- Oracles --- *)
 
 let qcheck_dlx_vs_bruteforce =
   (* Tiny random exact-cover instances: DLX agrees with enumerating all
@@ -231,7 +193,7 @@ let qcheck_dlx_vs_bruteforce =
           brute := sel :: !brute
         end
       done;
-      let dlx = Tiling.Dlx.solve (Tiling.Dlx.create ~universe subsets) in
+      let dlx = Oracle.Dlx.solve (Oracle.Dlx.create ~universe subsets) in
       List.sort Stdlib.compare !brute = List.sort Stdlib.compare dlx)
 
 let test_engines_agree () =
@@ -241,10 +203,10 @@ let test_engines_agree () =
   let s = Prototile.tetromino `S and z = Prototile.tetromino `Z in
   List.iter
     (fun period ->
-      let solve engine =
-        Tiling.Search.cover_torus ~period ~prototiles:[ s; z ] ~max_solutions:1000 ~engine ()
-      in
-      let bt = solve `Backtracking and dlx = solve `Dlx and bm = solve `Bitmask in
+      let prototiles = [ s; z ] in
+      let solve engine = Oracle.Torus.covers ~engine ~period ~prototiles ~max_solutions:1000 () in
+      let bt = solve `Backtracking and dlx = solve `Dlx in
+      let bm = Tiling.Search.cover_torus ~period ~prototiles ~max_solutions:1000 () in
       Alcotest.(check int) "bt/dlx count" (List.length bt) (List.length dlx);
       Alcotest.(check int) "bt/bitmask count" (List.length bt) (List.length bm);
       Alcotest.(check bool) "bt = dlx (ordered)" true (bt = dlx);
@@ -281,9 +243,10 @@ let qcheck_engines_differential =
         @ [ Prototile.of_cells [ Vec.zero 2 ] ]
       in
       let solve engine =
-        Tiling.Search.cover_torus ~period ~prototiles ~max_solutions:100_000 ~engine ()
+        Oracle.Torus.covers ~engine ~period ~prototiles ~max_solutions:100_000 ()
       in
-      let bt = solve `Backtracking and dlx = solve `Dlx and bm = solve `Bitmask in
+      let bt = solve `Backtracking and dlx = solve `Dlx in
+      let bm = Tiling.Search.cover_torus ~period ~prototiles ~max_solutions:100_000 () in
       (* Ordered equality: the shared branching rule makes the three
          enumerations structurally identical, not just equal as sets. *)
       bt = dlx && bt = bm)
@@ -395,18 +358,22 @@ let test_cover_torus_keep_filters_during_search () =
     | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
   in
   List.iter
-    (fun engine ->
+    (fun solve ->
       List.iter
         (fun budget ->
-          let kept =
-            Tiling.Search.cover_torus ~period ~prototiles:[ s; z ] ~max_solutions:budget
-              ~engine ~keep:mixed ()
-          in
+          let kept = solve budget in
           Alcotest.(check bool) "filter-then-truncate" true
             (kept = take budget (List.filter mixed all));
           Alcotest.(check bool) "all kept are mixed" true (List.for_all mixed kept))
         [ 1; 3; max_int ])
-    [ `Backtracking; `Dlx; `Bitmask ]
+    [ (fun max_solutions ->
+        Oracle.Torus.covers ~engine:`Backtracking ~period ~prototiles:[ s; z ] ~max_solutions
+          ~keep:mixed ());
+      (fun max_solutions ->
+        Oracle.Torus.covers ~engine:`Dlx ~period ~prototiles:[ s; z ] ~max_solutions
+          ~keep:mixed ());
+      (fun max_solutions ->
+        Tiling.Search.cover_torus ~period ~prototiles:[ s; z ] ~max_solutions ~keep:mixed ()) ]
 
 let test_find_respectable_early_stop_is_prefix () =
   (* The early-stopping rewrite must change nothing observable: a
@@ -684,12 +651,6 @@ let () =
         ] );
       ( "dlx",
         [
-          Alcotest.test_case "knuth example" `Quick test_dlx_basic;
-          Alcotest.test_case "no solution" `Quick test_dlx_no_solution;
-          Alcotest.test_case "counts" `Quick test_dlx_counts;
-          Alcotest.test_case "empty universe" `Quick test_dlx_empty_universe;
-          Alcotest.test_case "reusable" `Quick test_dlx_reusable;
-          Alcotest.test_case "rejects bad input" `Quick test_dlx_rejects_bad_input;
           Alcotest.test_case "engines agree" `Quick test_engines_agree;
           qc qcheck_dlx_vs_bruteforce;
           qc qcheck_engines_differential;
