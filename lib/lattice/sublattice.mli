@@ -45,7 +45,10 @@ val congruent : t -> Zgeom.Vec.t -> Zgeom.Vec.t -> bool
 (** Same coset. *)
 
 val cosets : t -> Zgeom.Vec.t list
-(** All [index] canonical representatives, lexicographic order. *)
+(** All [index] canonical representatives, lexicographic order.  This is
+    coset-id order: the [k]-th element has {!coset_id} [k] (and is
+    [coset_of_id t k]).  The torus search relies on it, reading anchor
+    [k]'s cells from {!translate_ids} tables at index [k]. *)
 
 val coset_id : t -> Zgeom.Vec.t -> int
 (** Dense index in [\[0, index)] of the argument's coset; the mixed-radix

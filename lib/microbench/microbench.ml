@@ -311,11 +311,16 @@ let daemon_exe () =
    of the per-pair ratios, so one slow sample cannot decide the gate.
    Every sample starts after a full major collection, so the garbage
    of one sample is not collected on the next one's clock (a binary
-   sample at the smoke quota lasts only a few milliseconds).
-   Each sample's request count scales with [quota] ([quota * 10_000],
-   at least 1000); the open-loop run is fixed-size.  The spawned daemon
-   is shut down at the end, and killed if anything raises first. *)
-let server_pairs = 5
+   sample would otherwise last only a few milliseconds).
+   Each sample's request count scales with [quota] ([quota * 10_000]),
+   but is at least [server_min_requests], so that at the smoke quota a
+   binary sample lasts tens of milliseconds rather than a few and the
+   ratio measures the dialects more than the scheduler; the open-loop
+   run is fixed-size.  The spawned daemon is shut down at the end, and
+   killed if anything raises first. *)
+let server_pairs = 9
+
+let server_min_requests = 5_000
 
 (* The middle sample ([server_pairs] is odd). *)
 let median xs =
@@ -384,7 +389,7 @@ let run_server ~quota =
             try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
           end)
         (fun () ->
-          let n = max 1_000 (int_of_float (quota *. 10_000.)) in
+          let n = max server_min_requests (int_of_float (quota *. 10_000.)) in
           let config =
             { Server.Loadgen.default with
               requests = n;
@@ -454,6 +459,22 @@ let run_server ~quota =
               { name = "server-open-10k-dropped";
                 value = float_of_int open_r.Server.Loadgen.dropped; unit = Count };
             ]))
+
+(* A hole-free area-12 polyomino without a BN factorization: every
+   torus stage of {!Tiling.Search.stages} (303 of them) comes up empty,
+   which is what the daemon pays for such a tile on a fresh search. *)
+let nonexact_poly12 =
+  Prototile.of_cells
+    (List.map
+       (fun (x, y) -> Zgeom.Vec.make2 x y)
+       [ (0, 0); (0, 1); (0, 2); (0, 3); (0, 4); (0, 5); (0, 6); (0, 7); (1, 1); (1, 3); (1, 4);
+         (1, 5) ])
+
+let exhaust_stages p () =
+  Seq.iter
+    (fun stage ->
+      if stage () <> None then invalid_arg "Microbench.exhaust_stages: a stage found a tiling")
+    (Tiling.Search.stages p)
 
 let run_core ~quota =
   let open Bechamel in
@@ -526,6 +547,8 @@ let run_core ~quota =
         Test.make ~name:"torus-mat-backtracking" (Staged.stage (torus_mat `Backtracking));
         Test.make ~name:"torus-mat-dlx" (Staged.stage (torus_mat `Dlx));
         Test.make ~name:"torus-mat-bitmask" (Staged.stage (torus_mat `Bitmask));
+        Test.make ~name:"torus-stages-nonexact-poly12"
+          (Staged.stage (exhaust_stages nonexact_poly12));
         Test.make ~name:"certificate-check-cheb1"
           (Staged.stage
              (let cert = Core.Certificate.build cheb1_tiling in
@@ -548,11 +571,13 @@ let suites =
     { name = "core";
       doc =
         "Core machinery, one workload per hot subsystem, including the three torus \
-         exact-cover engines on the EXP-P2 workload";
+         exact-cover engines on the EXP-P2 workload and every torus stage of a non-exact \
+         polyomino";
       required =
         ns
           [ "torus-all-backtracking"; "torus-all-dlx"; "torus-all-bitmask";
-            "torus-mat-backtracking"; "torus-mat-dlx"; "torus-mat-bitmask" ];
+            "torus-mat-backtracking"; "torus-mat-dlx"; "torus-mat-bitmask";
+            "torus-stages-nonexact-poly12" ];
       gates = [];
       run = run_core };
     { name = "skew";
@@ -579,8 +604,9 @@ let suites =
         ns
           [ "corpus-mmap-find-warm"; "corpus-store-find-warm"; "corpus-mmap-coldstart-find";
             "corpus-store-coldstart-find" ];
-      (* Warm lookups are a hashtable-vs-binary-search race the store can
-         win; the cold-start gap is the snapshot tier's reason to exist. *)
+      (* A warm store lookup parses the record's payload, so it is not
+         gated against the snapshot's binary search; the cold-start gap is
+         the snapshot tier's reason to exist. *)
       gates =
         [ { row = "corpus-mmap-coldstart-find"; cmp = Le;
             bound = Row "corpus-store-coldstart-find" } ];

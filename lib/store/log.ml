@@ -13,7 +13,7 @@ type recovery = {
 
 type t = {
   path : string;
-  table : (string, entry) Hashtbl.t;
+  table : (string, string) Hashtbl.t;  (* key -> validated payload *)
   mutable out : out_channel option;  (* None once closed *)
   mutable frames : int;  (* CRC-valid frames in the file, live or not *)
   mutable compactions : int;
@@ -41,13 +41,11 @@ let encode_payload key entry =
       [ Core.Codec.encode_record ~kind:"store" [ ("key", key); ("status", "found") ];
         Core.Codec.tiling_to_string tiling; Core.Certificate.to_string certificate ]
 
-(* Semantic validation of a CRC-valid payload.  Nothing read from disk
-   is trusted: the tiling is revalidated by [Codec.tiling_of_string]
-   (which goes through [Single.make]), the certificate is re-proved by
-   [Certificate.check], and the record key must be the canonical key of
-   the stored tiling - which also forces the stored orientation to be
-   the canonical one the server's transport step assumes. *)
-let decode_payload payload =
+(* The parse half of decoding a payload: the record fields, the tiling
+   (revalidated by [Codec.tiling_of_string], which goes through
+   [Single.make]) and the certificate's text.  [find] and [fold] run only
+   this half, on payloads [open_] or [put] already accepted. *)
+let parse_payload payload =
   let ( let* ) = Result.bind in
   match String.split_on_char '\n' payload with
   | [] -> Error "empty payload"
@@ -62,18 +60,38 @@ let decode_payload payload =
       | "found", [ tiling_line; c1; c2; c3 ] ->
         let* tiling = Core.Codec.tiling_of_string tiling_line in
         let* certificate = Core.Certificate.of_string (String.concat "\n" [ c1; c2; c3 ]) in
-        let proto = Tiling.Single.prototile tiling in
-        if not (Prototile.equal proto certificate.Core.Certificate.prototile) then
-          Error "certificate prototile differs from tiling prototile"
-        else if Core.Codec.vecs_to_string (Prototile.cells proto) <> key
-                || key_of_prototile proto <> key then
-          Error "key is not the canonical key of the stored tiling"
-        else (
-          match Core.Certificate.check certificate with
-          | Ok () -> Ok (key, Found { tiling; certificate })
-          | Error f ->
-            Error (Format.asprintf "certificate rejected: %a" Core.Certificate.pp_failure f))
+        Ok (key, Found { tiling; certificate })
       | _ -> Error "malformed store payload")
+
+(* The keying rule [put] enforces: a [Found] record is keyed by the
+   canonical key of its tiling's prototile, which also forces the stored
+   orientation to be the canonical one the server's transport step
+   assumes. *)
+let key_error key tiling certificate =
+  let proto = Tiling.Single.prototile tiling in
+  if not (Prototile.equal proto certificate.Core.Certificate.prototile) then
+    Some "certificate prototile differs from tiling prototile"
+  else if Core.Codec.vecs_to_string (Prototile.cells proto) <> key || key_of_prototile proto <> key
+  then Some "key is not the canonical key of the tiling"
+  else None
+
+(* The prove half: nothing read from disk is trusted, so a parsed
+   record must satisfy the keying rule and its certificate must be
+   re-proved by [Certificate.check]. *)
+let prove key = function
+  | No_tiling -> Ok ()
+  | Found { tiling; certificate } -> (
+    match key_error key tiling certificate with
+    | Some msg -> Error msg
+    | None -> (
+      match Core.Certificate.check certificate with
+      | Ok () -> Ok ()
+      | Error f -> Error (Format.asprintf "certificate rejected: %a" Core.Certificate.pp_failure f)))
+
+(* Semantic validation of a CRC-valid payload: parse, then prove. *)
+let validate_payload payload =
+  Result.bind (parse_payload payload) (fun (key, entry) ->
+      Result.map (fun () -> key) (prove key entry))
 
 (* ---------- framing ---------- *)
 
@@ -86,9 +104,10 @@ let output_frame oc payload =
   output_string oc payload
 
 (* Scan the raw file image for the longest valid prefix.  Returns the
-   validated records in log order, the count of CRC-valid frames whose
-   payload failed semantic validation, and the byte length of the valid
-   prefix (everything past it is torn or corrupt and must go). *)
+   validated records as (key, payload) pairs in log order, the count of
+   CRC-valid frames whose payload failed semantic validation, and the
+   byte length of the valid prefix (everything past it is torn or
+   corrupt and must go). *)
 let scan data =
   let n = String.length data in
   if n < magic_len || String.sub data 0 magic_len <> magic then ([], 0, 0)
@@ -108,8 +127,8 @@ let scan data =
           let payload = String.sub data (!pos + 9) len in
           if Core.Crc32.of_string payload <> crc then stop := true
           else begin
-            (match decode_payload payload with
-            | Ok kv -> records := kv :: !records
+            (match validate_payload payload with
+            | Ok key -> records := (key, payload) :: !records
             | Error _ -> incr dropped);
             pos := !pos + 9 + len
           end
@@ -143,9 +162,7 @@ let compact t =
     ~finally:(fun () -> close_out_noerr snap)
     (fun () ->
       output_string snap magic;
-      List.iter
-        (fun (key, entry) -> output_frame snap (encode_payload key entry))
-        (live_sorted t.table);
+      List.iter (fun (_, payload) -> output_frame snap payload) (live_sorted t.table);
       flush snap;
       try Unix.fsync (Unix.descr_of_out_channel snap) with Unix.Unix_error _ -> ());
   Sys.rename tmp t.path;
@@ -165,7 +182,7 @@ let open_ ?(auto_compact_ratio = 1.0) path =
   in
   let records, dropped, valid_len = scan data in
   let table = Hashtbl.create 256 in
-  List.iter (fun (key, entry) -> Hashtbl.replace table key entry) records;
+  List.iter (fun (key, payload) -> Hashtbl.replace table key payload) records;
   (* Repair the file before the first append: cut the invalid tail, or
      rewrite the magic if even the header is gone. *)
   if valid_len < magic_len then
@@ -198,25 +215,32 @@ let path t = t.path
 let recovery t = t.recovery
 let length t = Hashtbl.length t.table
 let mem t key = Hashtbl.mem t.table key
-let find t key = Hashtbl.find_opt t.table key
 let compactions t = t.compactions
 
+(* Every payload in the table passed [validate_payload] at [open_] or was
+   encoded by [put], so it parses; the proof is not run again. *)
+let entry_of_payload payload =
+  match parse_payload payload with
+  | Ok (_, entry) -> entry
+  | Error msg -> failwith ("Store: live payload does not parse: " ^ msg)
+
+let find t key = Option.map entry_of_payload (Hashtbl.find_opt t.table key)
+
 let fold t ~init ~f =
-  List.fold_left (fun acc (key, entry) -> f acc key entry) init (live_sorted t.table)
+  List.fold_left
+    (fun acc (key, payload) -> f acc key (entry_of_payload payload))
+    init (live_sorted t.table)
 
 let put t key entry =
   let oc = channel t "put" in
   (match entry with
   | No_tiling -> if key = "" then invalid_arg "Store.put: empty key"
   | Found { tiling; certificate } ->
-    let proto = Tiling.Single.prototile tiling in
-    if not (Prototile.equal proto certificate.Core.Certificate.prototile) then
-      invalid_arg "Store.put: certificate prototile differs from tiling prototile";
-    if Core.Codec.vecs_to_string (Prototile.cells proto) <> key || key_of_prototile proto <> key
-    then invalid_arg "Store.put: key is not the canonical key of the tiling");
-  output_frame oc (encode_payload key entry);
+    Option.iter (fun msg -> invalid_arg ("Store.put: " ^ msg)) (key_error key tiling certificate));
+  let payload = encode_payload key entry in
+  output_frame oc payload;
   flush oc;
-  Hashtbl.replace t.table key entry;
+  Hashtbl.replace t.table key payload;
   t.frames <- t.frames + 1;
   if should_compact t then compact t
 

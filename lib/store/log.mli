@@ -41,16 +41,21 @@
     {e dropped and counted}, never served - the store re-proves every
     certificate before believing the disk.
 
-    After recovery the whole live set is held in memory (the log is an
-    index-free append file); [find] is a hash lookup and never touches
-    the disk.
+    After recovery the live set is held in memory (the log is an
+    index-free append file) as each live record's validated payload
+    text, a few hundred bytes, rather than the decoded tiling and
+    certificate, several times that.  [find] and [fold] are a hash
+    lookup plus a parse of that payload: they never touch the disk and
+    never re-run {!Core.Certificate.check}, which [open_] ran on every
+    replayed record ([put] appends and keeps the payload of an entry
+    its caller built).  Each call returns freshly parsed values.
 
     {2 Compaction}
 
     Superseded records accumulate as garbage.  When the dead-record
     count crosses a threshold ([auto_compact_ratio] of the live count),
-    the store snapshots: the live set is rewritten, sorted by key, to a
-    temp file that is fsynced and atomically renamed over the log.
+    the store snapshots: the live payloads are copied, sorted by key, to
+    a temp file that is fsynced and atomically renamed over the log.
     [compact] forces a snapshot.
 
     Not thread-safe; the server serializes access (as it does for the

@@ -82,23 +82,34 @@ type mask_state = {
    counting mode the list stays empty. *)
 let torus_run ~period ~prototiles ~max_solutions ~keep ~pool ~collect =
   let idx = Sublattice.index period in
-  let anchors = Sublattice.cosets period in
-  let placements =
-    List.concat
-      (List.mapi
-         (fun k p ->
-           let cells = Prototile.cells p in
-           List.filter_map
-             (fun o ->
-               let ids = List.map (fun n -> Sublattice.coset_id period (Vec.add o n)) cells in
-               let sorted = List.sort_uniq Stdlib.compare ids in
-               (* Self-overlap on the torus = T2 violation in Z^d. *)
-               if List.length sorted <> List.length ids then None
-               else Some { piece = k; anchor = o; covers = ids })
-             anchors)
-         prototiles)
-  in
-  let placement_arr = Array.of_list placements in
+  (* Placements on coset ids: anchor [a] is the coset with id [a] (the
+     [a]-th element of [cosets]), and cell [n] of the placement covers
+     [translate_ids period n].(a), so each placement costs one array read
+     per cell.  A cell id seen twice within one placement (stamped with
+     the placement's attempt number) is a self-overlap on the torus = a
+     T2 violation in Z^d. *)
+  let anchors = Array.of_list (Sublattice.cosets period) in
+  let stamp = Array.make idx (-1) in
+  let attempt = ref 0 in
+  let placements = ref [] in
+  List.iteri
+    (fun k p ->
+      let tables = List.map (Sublattice.translate_ids period) (Prototile.cells p) in
+      for a = 0 to idx - 1 do
+        let s = !attempt in
+        incr attempt;
+        let covers = List.map (fun tbl -> tbl.(a)) tables in
+        if
+          List.for_all
+            (fun c ->
+              let fresh = stamp.(c) <> s in
+              stamp.(c) <- s;
+              fresh)
+            covers
+        then placements := { piece = k; anchor = anchors.(a); covers } :: !placements
+      done)
+    prototiles;
+  let placement_arr = Array.of_list (List.rev !placements) in
   let n_pl = Array.length placement_arr in
   (* Raw solutions are arrays of placement indices in traversal
      (chronological) order - one contiguous allocation per solution,

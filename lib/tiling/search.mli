@@ -46,12 +46,17 @@ val cover_torus :
     Prototiles unused by a particular solution are dropped from its piece
     list.
 
-    The solver is a word-parallel kernel on {!Bitset} masks.  Each
-    placement's cover mask (cells) and conflict list (overlapping
-    placements) are precomputed once; the live-placement set and
-    per-cell live-candidate counts are updated incrementally on
-    place/unplace, so cell selection is O(cells) integer reads and
-    candidate freeness is one bit test.  Its branching rule is a plain
+    The solver is a word-parallel kernel on {!Bitset} masks.  Placements
+    are built on coset ids: anchor [a] is the coset with id [a] (the
+    [a]-th element of {!Lattice.Sublattice.cosets}), and the cell [n] of
+    a placement at [a] covers entry [a] of the table
+    {!Lattice.Sublattice.translate_ids}[ period n], one table per
+    prototile cell, so building a stage's placement list does no vector
+    arithmetic.  Each placement's cover (cells, in prototile cell order)
+    and conflict list (overlapping placements) are precomputed once;
+    the live-placement set and per-cell live-candidate counts are
+    updated incrementally on place/unplace, so cell selection is
+    O(cells) integer reads and candidate freeness is one bit test.  Its branching rule is a plain
     backtracker's - first strict-minimum uncovered cell, candidates in
     placement order (prototile-major, anchors in
     {!Lattice.Sublattice.cosets} order) - so the ordered solution list is

@@ -557,6 +557,25 @@ let qcheck_translate_ids =
            (List.init (Sublattice.index lam) Fun.id)
            (Sublattice.cosets lam))
 
+(* The coset order the torus search builds its placements on: anchor
+   [k] of a stage is the [k]-th element of [cosets], and its cells are
+   read from [translate_ids] tables at index [k], so the two must agree.
+   Bases are random non-singular matrices, not HNF enumerations. *)
+let qcheck_cosets_in_id_order =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 3 >>= fun dim ->
+      list_repeat (dim * dim) (int_range (-4) 4) >|= fun entries ->
+      let b = Array.init dim (fun i -> Array.init dim (fun j -> List.nth entries ((i * dim) + j))) in
+      if Zgeom.Zmat.det b = 0 then Sublattice.scaled dim 2 else Sublattice.of_basis b)
+  in
+  QCheck.Test.make ~name:"k-th coset has coset_id k" ~count:300
+    (QCheck.make ~print:Sublattice.to_string gen) (fun lam ->
+      let reps = Sublattice.cosets lam in
+      List.length reps = Sublattice.index lam
+      && List.for_all2 (fun k c -> Sublattice.coset_id lam c = k)
+           (List.init (Sublattice.index lam) Fun.id) reps)
+
 let qc = QCheck_alcotest.to_alcotest
 
 let () =
@@ -575,6 +594,7 @@ let () =
           qc qcheck_reduce_idempotent;
           qc qcheck_coset_id_consistent;
           qc qcheck_translate_ids;
+          qc qcheck_cosets_in_id_order;
         ] );
       ( "prototile",
         [

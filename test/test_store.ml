@@ -27,6 +27,29 @@ let found_entry tile =
   | Some tiling -> Store.Found { tiling; certificate = Core.Certificate.build tiling }
   | None -> Alcotest.failf "expected a tiling for a %d-cell tile" (Prototile.size tile)
 
+(* The on-disk record format, written out independently of the store:
+   a frame header ('R', payload length, CRC32) and the payload text. *)
+let frame payload =
+  let header = Bytes.create 9 in
+  Bytes.set header 0 'R';
+  Bytes.set_int32_le header 1 (Int32.of_int (String.length payload));
+  Bytes.set_int32_le header 5 (Core.Crc32.of_string payload);
+  Bytes.to_string header ^ payload
+
+let payload_of key = function
+  | Store.No_tiling -> Core.Codec.encode_record ~kind:"store" [ ("key", key); ("status", "no-tiling") ]
+  | Store.Found { tiling; certificate } ->
+    String.concat "\n"
+      [ Core.Codec.encode_record ~kind:"store" [ ("key", key); ("status", "found") ];
+        Core.Codec.tiling_to_string tiling; Core.Certificate.to_string certificate ]
+
+(* An entry as text: equal strings mean the same verdict, tiling and
+   certificate. *)
+let entry_text = function
+  | Store.No_tiling -> "no-tiling"
+  | Store.Found { tiling; certificate } ->
+    Core.Codec.tiling_to_string tiling ^ "\n" ^ Core.Certificate.to_string certificate
+
 (* ---------- enumeration (OEIS A000105) ---------- *)
 
 let test_enumerate_counts () =
@@ -153,6 +176,102 @@ let test_auto_compaction () =
         "log shrank to the live set"
         true
         ((Store.recovery store).Store.records < 64);
+      Store.close store)
+
+(* Records over several kinds of tile: lattice and non-lattice first
+   tilings, a singleton, and two tiles without one (a ring has a hole;
+   no row of Z^2 is tiled by translates of {0, 1, 3}). *)
+let sample_records () =
+  let canon cells = Symmetry.canonical (Prototile.of_cells cells) in
+  let found cells =
+    let t = canon cells in
+    (Store.key_of_prototile t, found_entry t)
+  in
+  let no_tiling cells = (Store.key_of_prototile (canon cells), Store.No_tiling) in
+  let ring = List.filter (fun c -> c <> v2 1 1) (List.init 9 (fun i -> v2 (i mod 3) (i / 3))) in
+  [ found [ v2 0 0; v2 1 0; v2 2 1; v2 1 1 ];
+    found [ v2 0 0 ];
+    found [ v2 0 0; v2 2 0 ];
+    found [ v2 0 0; v2 1 0; v2 2 0 ];
+    no_tiling ring;
+    no_tiling [ v2 0 0; v2 1 0; v2 3 0 ] ]
+
+let test_compaction_copies_payloads () =
+  let records = sample_records () in
+  with_temp_store (fun path ->
+      let store = Store.open_ ~auto_compact_ratio:infinity path in
+      (* Every key written twice, the live record second, plus a
+         No_tiling record superseded by a Found one. *)
+      List.iter (fun (k, _) -> Store.put store k Store.No_tiling) records;
+      List.iter (fun (k, e) -> Store.put store k e) records;
+      Store.compact store;
+      Store.close store;
+      let expected =
+        "TSTORE1\n"
+        ^ String.concat ""
+            (List.map
+               (fun (k, e) -> frame (payload_of k e))
+               (List.sort (fun (a, _) (b, _) -> compare a b) records))
+      in
+      Alcotest.(check string) "snapshot = live payloads in key order" expected (read_file path))
+
+let test_find_fold_roundtrip () =
+  let records = sample_records () in
+  let expected = List.map (fun (k, e) -> (k, entry_text e)) records in
+  let check_store label store =
+    List.iter
+      (fun (k, text) ->
+        match Store.find store k with
+        | Some e -> Alcotest.(check string) (label ^ ": find " ^ k) text (entry_text e)
+        | None -> Alcotest.failf "%s: %s missing" label k)
+      expected;
+    Alcotest.(check (list (pair string string)))
+      (label ^ ": fold in key order")
+      (List.sort compare expected)
+      (List.rev (Store.fold store ~init:[] ~f:(fun acc k e -> (k, entry_text e) :: acc)))
+  in
+  with_temp_store (fun path ->
+      let store = Store.open_ path in
+      List.iter (fun (k, e) -> Store.put store k e) records;
+      check_store "after put" store;
+      Store.close store;
+      let store = Store.open_ path in
+      Alcotest.(check int) "nothing dropped" 0 (Store.recovery store).Store.dropped;
+      check_store "after reopen" store;
+      Store.close store)
+
+(* [put] checks the keying rule but trusts its caller's certificate, and
+   [find] parses without re-proving; the proof runs at [open_].  So a
+   false certificate put by a faulty caller is served as stored until
+   the next recovery, which drops it. *)
+let test_find_does_not_reprove () =
+  let tee = Symmetry.canonical (tet `T) in
+  let key = Store.key_of_prototile tee in
+  let tiling, cert =
+    match found_entry tee with
+    | Store.Found { tiling; certificate } -> (tiling, certificate)
+    | Store.No_tiling -> assert false
+  in
+  let period = Core.Schedule.period cert.schedule in
+  let colliding =
+    { cert with
+      schedule =
+        Core.Schedule.of_table ~period ~num_slots:(Core.Schedule.num_slots cert.schedule)
+          (Array.make (Sublattice.index period) 0) }
+  in
+  Alcotest.(check bool) "the forged certificate fails its check" true
+    (Core.Certificate.check colliding <> Ok ());
+  let forged = Store.Found { tiling; certificate = colliding } in
+  with_temp_store (fun path ->
+      let store = Store.open_ path in
+      Store.put store key forged;
+      (match Store.find store key with
+      | Some e -> Alcotest.(check string) "served as put" (entry_text forged) (entry_text e)
+      | None -> Alcotest.fail "the put record is missing");
+      Store.close store;
+      let store = Store.open_ path in
+      Alcotest.(check int) "recovery re-proves and drops it" 1 (Store.recovery store).Store.dropped;
+      Alcotest.(check bool) "absent after reopen" false (Store.mem store key);
       Store.close store)
 
 (* ---------- crash recovery ---------- *)
@@ -412,6 +531,12 @@ let () =
           Alcotest.test_case "put rejects non-canonical records" `Quick test_put_validation;
           Alcotest.test_case "dead records trigger auto-compaction" `Quick
             test_auto_compaction;
+          Alcotest.test_case "compaction copies the live payloads" `Quick
+            test_compaction_copies_payloads;
+          Alcotest.test_case "find and fold give back what was put" `Quick
+            test_find_fold_roundtrip;
+          Alcotest.test_case "find parses without re-proving" `Quick
+            test_find_does_not_reprove;
         ] );
       ( "recovery",
         [

@@ -624,6 +624,39 @@ let test_find_tiling_is_head_of_enumeration () =
       | _ -> Alcotest.failf "%s: not refuted by its hole" (Prototile.to_string p))
     holey
 
+(* First hits that come from a torus stage: none of these tiles has a
+   lattice tiling, so [find_tiling]'s answer is the first cover of the
+   first torus whose search succeeds.  Which cover that is depends on
+   the stage order, the placement order and the anchor order, so the
+   period basis and offsets are pinned as strings (rows and offsets in
+   [Core.Codec.vecs_to_string] form). *)
+let torus_first_hits =
+  [ ("0,0;2,0", "1,1;0,4", "0,0;0,1");
+    ("0,0;1,0;4,0;5,0", "1,1;0,8", "0,0;0,2");
+    ("0,0;0,2;2,0;2,2", "1,2;0,8", "0,0;0,1");
+    ("-3,-1;-1,1;-1,3;0,0;2,2;3,1", "1,4;0,12", "0,0;0,3");
+    ("-2,2;0,0;0,2;3,3", "1,3;0,16", "0,0;0,1;0,4;0,5");
+    ("-3,1;0,0;3,-2", "9,0;0,1", "0,0;1,0;2,0") ]
+
+let test_torus_first_hits_golden () =
+  List.iter
+    (fun (cells, basis, offsets) ->
+      let tile =
+        match Core.Codec.vecs_of_string cells with
+        | Ok cs -> Prototile.of_cells cs
+        | Error e -> Alcotest.failf "bad fixture %s: %s" cells e
+      in
+      Alcotest.(check bool) (cells ^ ": no lattice tiling") true
+        (Tiling.Search.find_lattice_tiling tile = None);
+      match Tiling.Search.find_tiling tile with
+      | None -> Alcotest.failf "%s: no tiling found" cells
+      | Some t ->
+        Alcotest.(check string) (cells ^ ": period") basis
+          (Core.Codec.vecs_to_string (Sublattice.generators (Tiling.Single.period t)));
+        Alcotest.(check string) (cells ^ ": offsets") offsets
+          (Core.Codec.vecs_to_string (Tiling.Single.offsets t)))
+    torus_first_hits
+
 let qc = QCheck_alcotest.to_alcotest
 
 let () =
@@ -663,6 +696,7 @@ let () =
           Alcotest.test_case "exactness decisions" `Quick test_exactness_decisions;
           Alcotest.test_case "find_tiling = head of enumeration" `Quick
             test_find_tiling_is_head_of_enumeration;
+          Alcotest.test_case "torus first hits (golden)" `Quick test_torus_first_hits_golden;
           Alcotest.test_case "3-D box tiles" `Quick test_3d_box_tiles;
           Alcotest.test_case "torus cover counts" `Quick test_cover_torus_counts;
           Alcotest.test_case "torus cover max" `Quick test_cover_torus_respects_max;
