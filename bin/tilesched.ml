@@ -349,8 +349,9 @@ let store_arg =
     & opt (some string) None
     & info [ "store" ] ~docv:"PATH"
         ~doc:
-          "Persistent certificate store (append-only log, created if absent): probed on cache \
-           misses, and completed searches are written through.")
+          "Persistent certificate store (an append-only verdict segment, created if absent; a \
+           file that is not one is refused): probed on cache misses, and completed searches \
+           are written through.")
 
 let report_recovery store =
   let r = Store.recovery store in
@@ -414,7 +415,11 @@ let serve_cmd =
             Ok (Some snap)
           | Error msg -> Error (`Msg msg))
       in
-      let store = Option.map Store.open_ store_path in
+      let* store =
+        match store_path with
+        | None -> Ok None
+        | Some path -> ( try Ok (Some (Store.open_ path)) with Sys_error msg -> Error (`Msg msg))
+      in
       Option.iter report_recovery store;
       let engine =
         Server.create ~cache_capacity:cache ~queue_bound:queue ?deadline ?store ?corpus ()

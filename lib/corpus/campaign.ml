@@ -13,11 +13,9 @@ let record_of_tile tile =
   match Tiling.Search.decide tile with
   | Tiling.Search.Non_exact _ -> (Layout.tag_non_exact, "")
   | Tiling.Search.Exact tiling ->
-    ( Layout.tag_exact,
-      Core.Codec.tiling_to_string tiling ^ "\n"
-      ^ Core.Certificate.to_string (Core.Certificate.build tiling) )
+    (Layout.tag_exact, Layout.encode_payload tiling (Core.Certificate.build tiling))
   | Tiling.Search.Not_found ->
-    invalid_arg ("Corpus.Campaign: undecided polyomino " ^ Store.key_of_prototile tile)
+    invalid_arg ("Corpus.Campaign: undecided polyomino " ^ Layout.key_of_cells tile)
 
 type report = {
   dir : string;
@@ -72,7 +70,7 @@ let seal_shard dir s =
     Layout.fold_records data ~init:[] ~f:(fun acc ~off ~band:_ ~tag:_ ~key ~payload:_ ->
         (Layout.hash_key key, off) :: acc)
   with
-  | Error e -> Error (Printf.sprintf "%s: %s" (Layout.segment_name s) e)
+  | Error (_, _, e) -> Error (Printf.sprintf "%s: %s" (Layout.segment_name s) e)
   | Ok entries ->
     let entries = List.sort compare entries in
     let count = List.length entries in
@@ -139,7 +137,7 @@ let append_band dir m ~pool ~progress ~n tiles =
   let shards = m.Layout.shards in
   let records =
     Parallel.map pool
-      (fun tile -> (Core.Codec.vecs_to_string (Prototile.cells tile), record_of_tile tile))
+      (fun tile -> (Layout.key_of_cells tile, record_of_tile tile))
       tiles
   in
   let lens = Layout.shard_lengths m in

@@ -1,27 +1,32 @@
-(* On-disk grammar shared by the campaign writer (Campaign) and the mmap
-   reader (Snapshot).  Everything here is deterministic: a corpus built
+(* On-disk grammar of every verdict file: the campaign's corpus segments
+   (Campaign), the mmap reader (Snapshot) and the certificate store
+   (Store) write and read the same records, with the same payload codec
+   and the same proof.  Everything here is deterministic: a corpus built
    twice from the same parameters is byte-identical, which is what makes
    the kill-and-resume acceptance test a plain [cmp]. *)
 
-let seg_magic = "TCORPS1\n"
+open Lattice
+
+let seg_magic = "TCORPS2\n"
 let idx_magic = "TCORPI1\n"
 let magic_len = 8
-let version = 1
+let version = 2
 
-(* A record payload is a handful of text lines (a tiling line plus a
-   certificate); anything bigger is a corrupt length field. *)
-let max_payload = 1 lsl 24
-let max_key = 1 lsl 16
-
-let header_size = 12 (* crc32 | tag | band | key len (u16) | payload len (u32) *)
+let header_size = 14 (* crc32 | tag | band | key len (u32) | payload len (u32) *)
 let idx_entry_size = 16 (* key hash (u64) | segment record offset (u64) *)
 
 let tag_non_exact = 0
 let tag_exact = 1
+let tag_not_found = 2
 
 let manifest_name = "MANIFEST"
 let segment_name shard = Printf.sprintf "shard-%03d.seg" shard
 let index_name shard = Printf.sprintf "shard-%03d.idx" shard
+
+(* ---------- keys ---------- *)
+
+let key_of_cells p = Core.Codec.vecs_to_string (Prototile.cells p)
+let key_of_prototile p = key_of_cells (Symmetry.canonical p)
 
 (* ---------- key hashing / sharding ---------- *)
 
@@ -43,76 +48,99 @@ let hash_key key =
 
 let shard_of_key ~shards key = hash_key key mod shards
 
+(* ---------- exact payload: codec and proof ---------- *)
+
+let encode_payload tiling certificate =
+  Core.Codec.tiling_to_string tiling ^ "\n" ^ Core.Certificate.to_string certificate
+
+(* The tiling is revalidated by [Codec.tiling_of_string], which goes
+   through [Single.make]; the certificate is only parsed. *)
+let decode_payload payload =
+  let ( let* ) = Result.bind in
+  match String.split_on_char '\n' payload with
+  | tiling_line :: (_ :: _ :: _ :: [] as cert_lines) ->
+    let* tiling =
+      Result.map_error (( ^ ) "bad tiling: ") (Core.Codec.tiling_of_string tiling_line)
+    in
+    let* certificate =
+      Result.map_error (( ^ ) "bad certificate: ")
+        (Core.Certificate.of_string (String.concat "\n" cert_lines))
+    in
+    Ok (tiling, certificate)
+  | _ -> Error "malformed exact payload"
+
+(* The keying rule: an exact record is keyed by the canonical key of its
+   tiling's prototile, which also forces the stored orientation to be
+   the canonical one the server's transport step assumes. *)
+let check_key ~key tiling (certificate : Core.Certificate.t) =
+  let proto = Tiling.Single.prototile tiling in
+  if not (Prototile.equal proto certificate.prototile) then
+    Error "certificate prototile differs from tiling prototile"
+  else if key_of_cells proto <> key || key_of_prototile proto <> key then
+    Error "key is not the canonical key of the tiling"
+  else Ok ()
+
+let prove ~key tiling certificate =
+  Result.bind (check_key ~key tiling certificate) (fun () ->
+      Result.map_error
+        (Format.asprintf "certificate rejected: %a" Core.Certificate.pp_failure)
+        (Core.Certificate.check certificate))
+
 (* ---------- record codec ---------- *)
 
-let put_u16 b off v =
-  Bytes.set_uint16_le b off v
+let max_len = 0xFFFF_FFFF
 
-let put_u32 b off v =
-  Bytes.set_int32_le b off (Int32.of_int v)
-
-let put_u64 b off v =
-  Bytes.set_int64_le b off (Int64.of_int v)
-
-let get_u16 s off = String.get_uint16_le s off
-let get_u32 s off = Int32.to_int (String.get_int32_le s off) land 0xFFFF_FFFF
-let get_u64 s off = Int64.to_int (String.get_int64_le s off)
+let put_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
+let put_u64 b off v = Bytes.set_int64_le b off (Int64.of_int v)
+let get_u32 s off = Int32.to_int (String.get_int32_le s off) land max_len
 
 let encode_record ~band ~tag ~key ~payload =
   let klen = String.length key and plen = String.length payload in
-  if klen = 0 || klen >= max_key then invalid_arg "Corpus.Layout.encode_record: bad key length";
-  if plen > max_payload then invalid_arg "Corpus.Layout.encode_record: payload too large";
-  if band < 1 || band > 255 then invalid_arg "Corpus.Layout.encode_record: band must be 1..255";
+  if klen = 0 || klen > max_len then invalid_arg "Corpus.Layout.encode_record: bad key length";
+  if plen > max_len then invalid_arg "Corpus.Layout.encode_record: payload too large";
+  if band < 0 || band > 255 then invalid_arg "Corpus.Layout.encode_record: band must be 0..255";
+  if tag < 0 || tag > tag_not_found then invalid_arg "Corpus.Layout.encode_record: unknown tag";
   let b = Bytes.create (header_size + klen + plen) in
   Bytes.set b 4 (Char.chr tag);
   Bytes.set b 5 (Char.chr band);
-  put_u16 b 6 klen;
-  put_u32 b 8 plen;
+  put_u32 b 6 klen;
+  put_u32 b 10 plen;
   Bytes.blit_string key 0 b header_size klen;
   Bytes.blit_string payload 0 b (header_size + klen) plen;
   let body = Bytes.sub_string b 4 (header_size - 4 + klen + plen) in
   Bytes.set_int32_le b 0 (Core.Crc32.of_string body);
   Bytes.unsafe_to_string b
 
-(* Walk every record of a raw segment image (magic included), calling
-   [f] with the record's byte offset and decoded fields.  Unlike the
-   store's longest-valid-prefix scan this is strict: the campaign only
-   publishes fsynced, manifest-covered bytes, so any framing or CRC
-   violation here is corruption, not a torn tail. *)
+(* Walk the records of a raw segment image (magic included), calling
+   [f] with each record's byte offset and decoded fields.  The first
+   framing violation stops the walk and is reported with the
+   accumulator and the byte length of the valid prefix before it: the
+   store cuts its torn tail there, while the campaign and [verify],
+   which only read fsynced, manifest-covered bytes, call it
+   corruption. *)
 let fold_records data ~init ~f =
   let n = String.length data in
-  if n < magic_len || String.sub data 0 magic_len <> seg_magic then
-    Error "bad segment magic"
-  else begin
-    let acc = ref init in
-    let pos = ref magic_len in
-    let err = ref None in
-    while !err = None && !pos < n do
-      let off = !pos in
-      if n - off < header_size then err := Some (Printf.sprintf "torn record header at byte %d" off)
-      else begin
-        let crc = String.get_int32_le data off in
-        let tag = Char.code data.[off + 4] in
-        let band = Char.code data.[off + 5] in
-        let klen = get_u16 data (off + 6) in
-        let plen = get_u32 data (off + 8) in
-        if klen = 0 || klen >= max_key || plen > max_payload || off + header_size + klen + plen > n
-        then err := Some (Printf.sprintf "impossible record lengths at byte %d" off)
-        else if
-          Core.Crc32.of_string (String.sub data (off + 4) (header_size - 4 + klen + plen)) <> crc
-        then err := Some (Printf.sprintf "CRC mismatch at byte %d" off)
-        else if tag <> tag_non_exact && tag <> tag_exact then
-          err := Some (Printf.sprintf "unknown verdict tag %d at byte %d" tag off)
-        else begin
-          let key = String.sub data (off + header_size) klen in
-          let payload = String.sub data (off + header_size + klen) plen in
-          acc := f !acc ~off ~band ~tag ~key ~payload;
-          pos := off + header_size + klen + plen
-        end
-      end
-    done;
-    match !err with Some e -> Error e | None -> Ok !acc
-  end
+  let stop acc off fmt = Printf.ksprintf (fun e -> Error (acc, off, e)) fmt in
+  let rec go acc off =
+    if off = n then Ok acc
+    else if n - off < header_size then stop acc off "torn record header at byte %d" off
+    else
+      let tag = Char.code data.[off + 4] and band = Char.code data.[off + 5] in
+      let klen = get_u32 data (off + 6) and plen = get_u32 data (off + 10) in
+      let len = header_size + klen + plen in
+      if klen = 0 || len > n - off then stop acc off "impossible record lengths at byte %d" off
+      else if
+        Int32.lognot (Core.Crc32.string Core.Crc32.init data (off + 4) (len - 4))
+        <> String.get_int32_le data off
+      then stop acc off "CRC mismatch at byte %d" off
+      else if tag > tag_not_found then stop acc off "unknown verdict tag %d at byte %d" tag off
+      else
+        let key = String.sub data (off + header_size) klen in
+        let payload = String.sub data (off + header_size + klen) plen in
+        go (f acc ~off ~band ~tag ~key ~payload) (off + len)
+  in
+  if String.starts_with ~prefix:seg_magic data then go init magic_len
+  else Error (init, 0, "bad segment magic")
 
 (* ---------- manifest codec ---------- *)
 

@@ -94,7 +94,7 @@ let entry_hash sh i = get_u64 sh.idx (Layout.magic_len + 8 + (i * Layout.idx_ent
 let entry_off sh i = get_u64 sh.idx (Layout.magic_len + 8 + (i * Layout.idx_entry_size) + 8)
 
 let key_at sh off key =
-  let klen = get_u16 sh.seg (off + 6) in
+  let klen = get_u32 sh.seg (off + 6) in
   klen = String.length key && string_matches sh.seg (off + Layout.header_size) key
 
 let find t key =
@@ -122,8 +122,8 @@ let verdict t hit =
 
 let payload_bounds t hit =
   let sh = t.shards.(hit.shard) in
-  let klen = get_u16 sh.seg (hit.off + 6) in
-  let plen = get_u32 sh.seg (hit.off + 8) in
+  let klen = get_u32 sh.seg (hit.off + 6) in
+  let plen = get_u32 sh.seg (hit.off + 10) in
   (hit.off + Layout.header_size + klen, plen)
 
 let payload t hit =
@@ -154,16 +154,9 @@ let tiling_fields t hit =
 (* ---------- decode (the cold path) ---------- *)
 
 let entry t hit =
-  let ( let* ) = Result.bind in
   match verdict t hit with
   | `Non_exact -> Ok None
-  | `Exact -> (
-    match String.split_on_char '\n' (payload t hit) with
-    | tiling_line :: (_ :: _ :: _ :: [] as cert_lines) ->
-      let* tiling = Core.Codec.tiling_of_string tiling_line in
-      let* certificate = Core.Certificate.of_string (String.concat "\n" cert_lines) in
-      Ok (Some (tiling, certificate))
-    | _ -> Error "malformed corpus payload")
+  | `Exact -> Result.map Option.some (Layout.decode_payload (payload t hit))
 
 (* ---------- verify ---------- *)
 
@@ -200,33 +193,24 @@ let verify ~dir:d =
                 (* ... live in its hash shard ... *)
                 if Layout.shard_of_key ~shards:(Array.length t.shards) key <> s then
                   fail "%s: record at byte %d is in the wrong shard" name off;
+                (* ... come from a campaign band, not from a store ... *)
+                if band = 0 then fail "%s: record at byte %d has band 0 (a store record)" name off;
                 (* ... and carry a verdict that proves itself. *)
                 (match tag with
                 | tag when tag = Layout.tag_non_exact ->
                   incr non_exact;
                   if payload <> "" then fail "%s: non-exact record at byte %d has a payload" name off
-                | _ -> (
+                | tag when tag = Layout.tag_exact -> (
                   incr exact;
-                  match String.split_on_char '\n' payload with
-                  | tiling_line :: (_ :: _ :: _ :: [] as cert_lines) -> (
-                    let tiling =
-                      match Core.Codec.tiling_of_string tiling_line with
-                      | Ok tl -> tl
-                      | Error e -> fail "%s: bad tiling at byte %d: %s" name off e
-                    in
-                    let cert =
-                      match Core.Certificate.of_string (String.concat "\n" cert_lines) with
-                      | Ok c -> c
-                      | Error e -> fail "%s: bad certificate at byte %d: %s" name off e
-                    in
-                    if Store.key_of_prototile (Tiling.Single.prototile tiling) <> key then
-                      fail "%s: key at byte %d is not the canonical key of its tiling" name off;
-                    match Core.Certificate.check cert with
-                    | Ok () -> ()
-                    | Error f ->
-                      fail "%s: certificate rejected at byte %d: %s" name off
-                        (Format.asprintf "%a" Core.Certificate.pp_failure f))
-                  | _ -> fail "%s: malformed exact payload at byte %d" name off));
+                  match
+                    Result.bind (Layout.decode_payload payload) (fun (tiling, certificate) ->
+                        Layout.prove ~key tiling certificate)
+                  with
+                  | Ok () -> ()
+                  | Error e -> fail "%s: exact record at byte %d: %s" name off e)
+                | tag ->
+                  fail "%s: record at byte %d has tag %d (not found), which is not a proof" name
+                    off tag);
                 let e, ne = try Hashtbl.find counts band with Not_found -> (0, 0) in
                 Hashtbl.replace counts band
                   (match tag with
@@ -235,7 +219,7 @@ let verify ~dir:d =
                 n + 1)
           with
           | Ok n -> n
-          | Error e -> fail "%s: %s" name e
+          | Error (_, _, e) -> fail "%s: %s" name e
         in
         if n <> sh.count then
           fail "%s: index holds %d entries for %d records" (Layout.index_name s) sh.count n;

@@ -44,7 +44,7 @@ val length : t -> int
 type hit
 
 val find : t -> string -> hit option
-(** Look up a canonical key ({!Store.key_of_prototile}). *)
+(** Look up a canonical key ({!Layout.key_of_prototile}). *)
 
 val band : t -> hit -> int
 val verdict : t -> hit -> [ `Exact | `Non_exact ]
@@ -77,8 +77,9 @@ type verify_report = {
 
 val verify : dir:string -> (verify_report, string) result
 (** Full offline integrity check of a sealed corpus: every record's CRC
-    and framing, every key canonical for its tiling and reachable
-    through its shard's index (and only its own entry), every
-    certificate re-proved with {!Core.Certificate.check}, every index
-    entry backed by a record, and the manifest's per-band counts in
-    agreement with the records. *)
+    and framing, every record a campaign verdict (band 1..255, tag 0 or
+    1: a store's band-0 or tag-2 record is rejected), every key
+    reachable through its shard's index (and only its own entry), every
+    exact record proved with {!Layout.prove}, every index entry backed
+    by a record, and the manifest's per-band counts in agreement with
+    the records. *)

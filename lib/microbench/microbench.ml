@@ -227,7 +227,7 @@ let run_corpus ~quota =
       let keys = ref [] in
       let store = Store.open_ store_path in
       Polyomino.enumerate_free_iter ~max_area:corpus_bench_max_n (fun ~area:_ tile ->
-          let key = Store.key_of_prototile tile in
+          let key = Corpus.Layout.key_of_prototile tile in
           keys := key :: !keys;
           Store.put store key
             (match Tiling.Search.decide tile with

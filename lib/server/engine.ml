@@ -201,7 +201,7 @@ let handle_batch t reqs =
           | Stats | Shutdown -> Control
           | Slot { tile; _ } | Schedule tile | Tile_search tile ->
             let canon, g = Symmetry.canonicalize tile in
-            let key = Core.Codec.vecs_to_string (Prototile.cells canon) in
+            let key = Corpus.Layout.key_of_cells canon in
             (match
                Option.bind t.corpus (fun c ->
                    Option.map (fun h -> (c, h)) (Corpus.Snapshot.find c key))

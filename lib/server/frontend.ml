@@ -304,7 +304,7 @@ let serve_unix ?(idle_timeout = 0.) engine ~path =
   let fast_path loop c st id req frame eligible =
     match (corpus, (req : Protocol.request)) with
     | Some corpus, Tile_search tile when eligible && st.pending = 0 ->
-      let key = Core.Codec.vecs_to_string (Lattice.Prototile.cells tile) in
+      let key = Corpus.Layout.key_of_cells tile in
       let p = probe corpus key in
       if Hashtbl.length memo < memo_cap then
         Hashtbl.replace memo (frame_payload frame) p;

@@ -16,6 +16,11 @@ let ok_or_fail = function Ok v -> v | Error e -> Alcotest.fail e
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 (* Corpus directories are flat (MANIFEST, *.seg, *.idx). *)
 let rm_rf dir =
   if Sys.file_exists dir then begin
@@ -105,7 +110,7 @@ let test_snapshot_lookup_and_verify () =
       let snap = ok_or_fail (Snapshot.open_ dir) in
       Alcotest.(check int) "56 classes resident" 56 (Snapshot.length snap);
       Polyomino.enumerate_free_iter ~max_area:6 (fun ~area t ->
-          let key = Store.key_of_prototile t in
+          let key = Corpus.Layout.key_of_prototile t in
           match Snapshot.find snap key with
           | None -> Alcotest.failf "area-%d key not found: %s" area key
           | Some hit -> (
@@ -130,12 +135,57 @@ let test_snapshot_lookup_and_verify () =
       (* A key outside the corpus misses cleanly. *)
       let t7 = List.hd (Polyomino.enumerate_free 7) in
       Alcotest.(check bool) "area-7 key misses" true
-        (Option.is_none (Snapshot.find snap (Store.key_of_prototile t7)));
+        (Option.is_none (Snapshot.find snap (Corpus.Layout.key_of_prototile t7)));
       let r = ok_or_fail (Snapshot.verify ~dir) in
       Alcotest.(check int) "verified records" 56 r.Snapshot.records;
       Alcotest.(check int) "verified exact" 42 r.Snapshot.exact;
       Alcotest.(check int) "verified non-exact" 14 r.Snapshot.non_exact;
       Alcotest.(check int) "verified index entries" 56 r.Snapshot.indexed)
+
+(* A sealed corpus holds campaign verdicts only: a store's record kinds
+   - tag 2 (not found, an exhausted search rather than a proof) or
+   band 0 - are rejected by [verify] even when their frame, key and
+   index entry are sound.  Each is written in place over a non-exact
+   record of the same length, so only the tag or the band differs. *)
+let test_verify_rejects_store_records () =
+  with_temp_dir (fun dir ->
+      ignore (ok_or_fail (Campaign.run ~dir ~max_n:5 ()));
+      let m = ok_or_fail (Layout.manifest_of_string (read_file (Filename.concat dir Layout.manifest_name))) in
+      let seg, off, band, key =
+        let rec first s =
+          if s = m.Layout.shards then Alcotest.fail "no non-exact record in the corpus"
+          else
+            let seg = Filename.concat dir (Layout.segment_name s) in
+            match
+              Layout.fold_records (read_file seg) ~init:None
+                ~f:(fun acc ~off ~band ~tag ~key ~payload:_ ->
+                  if acc = None && tag = Layout.tag_non_exact then Some (off, band, key) else acc)
+            with
+            | Ok (Some (off, band, key)) -> (seg, off, band, key)
+            | Ok None -> first (s + 1)
+            | Error (_, _, e) -> Alcotest.fail e
+        in
+        first 0
+      in
+      let original = read_file seg in
+      let overwrite record =
+        let b = Bytes.of_string original in
+        Bytes.blit_string record 0 b off (String.length record);
+        Out_channel.with_open_bin seg (fun oc -> Out_channel.output_bytes oc b)
+      in
+      ignore (ok_or_fail (Snapshot.verify ~dir));
+      List.iter
+        (fun (what, record, reason) ->
+          overwrite record;
+          (match Snapshot.verify ~dir with
+          | Ok _ -> Alcotest.failf "verify accepted a %s record" what
+          | Error e ->
+            if not (contains e reason) then
+              Alcotest.failf "verify rejected the %s record for another reason: %s" what e);
+          overwrite (Layout.encode_record ~band ~tag:Layout.tag_non_exact ~key ~payload:"");
+          Alcotest.(check string) "the original record is restored" original (read_file seg))
+        [ ("tag-2", Layout.encode_record ~band ~tag:Layout.tag_not_found ~key ~payload:"", "tag 2");
+          ("band-0", Layout.encode_record ~band:0 ~tag:Layout.tag_non_exact ~key ~payload:"", "band 0") ])
 
 let test_unsealed_corpus_refused () =
   with_temp_dir (fun dir ->
@@ -161,7 +211,7 @@ let test_engine_corpus_tier () =
       let snap = ok_or_fail (Snapshot.open_ dir) in
       let e = Engine.create ~corpus:snap () in
       let s_canon = Symmetry.canonical (Prototile.tetromino `S) in
-      let key = Store.key_of_prototile s_canon in
+      let key = Corpus.Layout.key_of_prototile s_canon in
       (* Canonical orientation: the zero-deserialization splice path.
          The spliced line must be byte-identical to encoding the decoded
          entry through the ordinary Tiling_r arm. *)
@@ -267,9 +317,9 @@ let test_bn_differential_oracle () =
               | Tiling.Search.Exact tiling -> Some tiling
               | Tiling.Search.Non_exact _ -> None
               | Tiling.Search.Not_found ->
-                Alcotest.failf "%s left undecided" (Store.key_of_prototile t)
+                Alcotest.failf "%s left undecided" (Corpus.Layout.key_of_prototile t)
             in
-            (Store.key_of_prototile t, show decided, show (Tiling.Search.find_tiling t)))
+            (Corpus.Layout.key_of_prototile t, show decided, show (Tiling.Search.find_tiling t)))
           (List.rev !tiles)
       in
       List.iter
@@ -299,6 +349,8 @@ let () =
         [
           Alcotest.test_case "lookup, decode, verify" `Quick test_snapshot_lookup_and_verify;
           Alcotest.test_case "unsealed corpus refused" `Quick test_unsealed_corpus_refused;
+          Alcotest.test_case "verify rejects tag-2 and band-0 records" `Quick
+            test_verify_rejects_store_records;
         ] );
       ( "engine",
         [

@@ -7,6 +7,7 @@
 open Lattice
 module Protocol = Server.Protocol
 module Engine = Server.Engine
+module Layout = Corpus.Layout
 
 let tet c = Prototile.tetromino c
 let v2 = Zgeom.Vec.make2
@@ -27,21 +28,14 @@ let found_entry tile =
   | Some tiling -> Store.Found { tiling; certificate = Core.Certificate.build tiling }
   | None -> Alcotest.failf "expected a tiling for a %d-cell tile" (Prototile.size tile)
 
-(* The on-disk record format, written out independently of the store:
-   a frame header ('R', payload length, CRC32) and the payload text. *)
-let frame payload =
-  let header = Bytes.create 9 in
-  Bytes.set header 0 'R';
-  Bytes.set_int32_le header 1 (Int32.of_int (String.length payload));
-  Bytes.set_int32_le header 5 (Core.Crc32.of_string payload);
-  Bytes.to_string header ^ payload
-
-let payload_of key = function
-  | Store.No_tiling -> Core.Codec.encode_record ~kind:"store" [ ("key", key); ("status", "no-tiling") ]
+(* A store record built with the shared record codec: band 0, tag 1
+   with the exact payload for a Found entry, tag 2 with an empty payload
+   for No_tiling. *)
+let record key = function
+  | Store.No_tiling -> Layout.encode_record ~band:0 ~tag:Layout.tag_not_found ~key ~payload:""
   | Store.Found { tiling; certificate } ->
-    String.concat "\n"
-      [ Core.Codec.encode_record ~kind:"store" [ ("key", key); ("status", "found") ];
-        Core.Codec.tiling_to_string tiling; Core.Certificate.to_string certificate ]
+    Layout.encode_record ~band:0 ~tag:Layout.tag_exact ~key
+      ~payload:(Layout.encode_payload tiling certificate)
 
 (* An entry as text: equal strings mean the same verdict, tiling and
    certificate. *)
@@ -101,9 +95,9 @@ let test_crc32_vector () =
 let test_roundtrip_supersede_compact () =
   with_temp_store (fun path ->
       let canon = Symmetry.canonical (tet `S) in
-      let key = Store.key_of_prototile canon in
+      let key = Layout.key_of_prototile canon in
       let one = Prototile.of_cells [ v2 0 0 ] in
-      let kone = Store.key_of_prototile one in
+      let kone = Layout.key_of_prototile one in
       let store = Store.open_ path in
       Store.put store key Store.No_tiling;
       Store.put store key (found_entry canon) (* supersedes the record above *);
@@ -149,7 +143,7 @@ let test_put_validation () =
         "rotated S is not canonical" false
         (Prototile.equal rotated (Symmetry.canonical rotated));
       (* A Found entry must be keyed by its own canonical orientation. *)
-      (match Store.put store (Store.key_of_prototile rotated) (found_entry rotated) with
+      (match Store.put store (Layout.key_of_prototile rotated) (found_entry rotated) with
       | () -> Alcotest.fail "expected Invalid_argument for a non-canonical tiling"
       | exception Invalid_argument _ -> ());
       (match Store.put store "0,0;9,9" (found_entry canon) with
@@ -162,7 +156,7 @@ let test_auto_compaction () =
   with_temp_store (fun path ->
       let store = Store.open_ ~auto_compact_ratio:0.5 path in
       let one = Prototile.of_cells [ v2 0 0 ] in
-      let key = Store.key_of_prototile one in
+      let key = Layout.key_of_prototile one in
       (* Rewrite one key many times: dead records pile up and must
          trigger a snapshot without being asked. *)
       for _ = 1 to 64 do
@@ -178,6 +172,52 @@ let test_auto_compaction () =
         ((Store.recovery store).Store.records < 64);
       Store.close store)
 
+(* Only an empty file or a torn write of the magic becomes an empty
+   store.  Anything else without the magic - user data, a store in an
+   older format - is refused by name and left byte-for-byte as it was. *)
+let test_foreign_file_refused () =
+  with_temp_store (fun path ->
+      List.iter
+        (fun contents ->
+          write_file path contents;
+          (match Store.open_ path with
+          | store ->
+            Store.close store;
+            Alcotest.failf "opened %S as a store" contents
+          | exception Sys_error msg ->
+            Alcotest.(check bool) "the error names the file" true
+              (String.starts_with ~prefix:path msg));
+          Alcotest.(check string) "file left unchanged" contents (read_file path))
+        [ "precious user data\n"; "TSTORE1\nR";
+          "X" ^ String.sub Layout.seg_magic 1 (Layout.magic_len - 1) ];
+      List.iter
+        (fun k ->
+          write_file path (String.sub Layout.seg_magic 0 k);
+          let store = Store.open_ path in
+          Alcotest.(check int) "empty store" 0 (Store.length store);
+          Store.close store;
+          Alcotest.(check string) "the magic is restored" Layout.seg_magic (read_file path))
+        (List.init Layout.magic_len Fun.id))
+
+(* A key of 65,536 bytes or more (a 1 x 10000 bar) fits the u32 key
+   length: put, close and reopen give the verdict back. *)
+let test_long_key_roundtrip () =
+  let bar = Prototile.of_cells (List.init 10_000 (fun i -> v2 i 0)) in
+  let key = Layout.key_of_prototile bar in
+  Alcotest.(check bool) "key is at least 65536 bytes" true (String.length key >= 65_536);
+  with_temp_store (fun path ->
+      let store = Store.open_ path in
+      Store.put store key Store.No_tiling;
+      Store.close store;
+      let store = Store.open_ path in
+      let r = Store.recovery store in
+      Alcotest.(check int) "replayed" 1 r.Store.records;
+      Alcotest.(check int) "nothing truncated" 0 r.Store.truncated_bytes;
+      (match Store.find store key with
+      | Some Store.No_tiling -> ()
+      | _ -> Alcotest.fail "the long-key record did not round-trip");
+      Store.close store)
+
 (* Records over several kinds of tile: lattice and non-lattice first
    tilings, a singleton, and two tiles without one (a ring has a hole;
    no row of Z^2 is tiled by translates of {0, 1, 3}). *)
@@ -185,9 +225,9 @@ let sample_records () =
   let canon cells = Symmetry.canonical (Prototile.of_cells cells) in
   let found cells =
     let t = canon cells in
-    (Store.key_of_prototile t, found_entry t)
+    (Layout.key_of_prototile t, found_entry t)
   in
-  let no_tiling cells = (Store.key_of_prototile (canon cells), Store.No_tiling) in
+  let no_tiling cells = (Layout.key_of_prototile (canon cells), Store.No_tiling) in
   let ring = List.filter (fun c -> c <> v2 1 1) (List.init 9 (fun i -> v2 (i mod 3) (i / 3))) in
   [ found [ v2 0 0; v2 1 0; v2 2 1; v2 1 1 ];
     found [ v2 0 0 ];
@@ -207,10 +247,10 @@ let test_compaction_copies_payloads () =
       Store.compact store;
       Store.close store;
       let expected =
-        "TSTORE1\n"
+        Layout.seg_magic
         ^ String.concat ""
             (List.map
-               (fun (k, e) -> frame (payload_of k e))
+               (fun (k, e) -> record k e)
                (List.sort (fun (a, _) (b, _) -> compare a b) records))
       in
       Alcotest.(check string) "snapshot = live payloads in key order" expected (read_file path))
@@ -246,7 +286,7 @@ let test_find_fold_roundtrip () =
    the next recovery, which drops it. *)
 let test_find_does_not_reprove () =
   let tee = Symmetry.canonical (tet `T) in
-  let key = Store.key_of_prototile tee in
+  let key = Layout.key_of_prototile tee in
   let tiling, cert =
     match found_entry tee with
     | Store.Found { tiling; certificate } -> (tiling, certificate)
@@ -281,7 +321,7 @@ let test_find_does_not_reprove () =
 let sample_log_bytes () =
   let path = Filename.temp_file "tilesched-store" ".log" in
   let store = Store.open_ path in
-  let put tile entry = Store.put store (Store.key_of_prototile tile) entry in
+  let put tile entry = Store.put store (Layout.key_of_prototile tile) entry in
   let s = Symmetry.canonical (tet `S) in
   let one = Prototile.of_cells [ v2 0 0 ] in
   let bar = Symmetry.canonical (Prototile.of_cells [ v2 0 0; v2 1 0 ]) in
@@ -327,22 +367,33 @@ let test_bitflip_never_served_invalid () =
         for bit = 0 to 7 do
           let b = Bytes.of_string data in
           Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
-          write_file path (Bytes.to_string b);
-          let store = Store.open_ path (* must never raise *) in
-          (* Whatever survived recovery must be trustworthy: every
-             Found entry re-checked, no corrupt certificate served. *)
-          Store.fold store ~init:() ~f:(fun () key entry ->
-              match entry with
-              | Store.No_tiling -> ()
-              | Store.Found { tiling; certificate } ->
-                Alcotest.(check bool)
-                  "served key matches tiling" true
-                  (String.equal key
-                     (Store.key_of_prototile (Tiling.Single.prototile tiling)));
-                Alcotest.(check bool)
-                  "served certificate checks" true
-                  (Core.Certificate.check certificate = Ok ()));
-          Store.close store
+          let flipped = Bytes.to_string b in
+          write_file path flipped;
+          if i < Layout.magic_len then begin
+            (* Without the magic the file is not a store: refused, and
+               not one byte of it rewritten. *)
+            (match Store.open_ path with
+            | _ -> Alcotest.failf "a flip at magic byte %d must be refused" i
+            | exception Sys_error _ -> ());
+            Alcotest.(check bool) "refused file left unchanged" true (read_file path = flipped)
+          end
+          else begin
+            let store = Store.open_ path (* must never raise *) in
+            (* Whatever survived recovery must be trustworthy: every
+               Found entry re-checked, no corrupt certificate served. *)
+            Store.fold store ~init:() ~f:(fun () key entry ->
+                match entry with
+                | Store.No_tiling -> ()
+                | Store.Found { tiling; certificate } ->
+                  Alcotest.(check bool)
+                    "served key matches tiling" true
+                    (String.equal key
+                       (Layout.key_of_prototile (Tiling.Single.prototile tiling)));
+                  Alcotest.(check bool)
+                    "served certificate checks" true
+                    (Core.Certificate.check certificate = Ok ()));
+            Store.close store
+          end
         done
       done)
 
@@ -350,15 +401,8 @@ let test_bitflip_never_served_invalid () =
    T-tetromino's schedule puts every sensor in slot 0.  Recovery must
    re-prove it, drop it, and keep serving the records on both sides. *)
 let test_rejected_certificate_dropped () =
-  let frame payload =
-    let header = Bytes.create 9 in
-    Bytes.set header 0 'R';
-    Bytes.set_int32_le header 1 (Int32.of_int (String.length payload));
-    Bytes.set_int32_le header 5 (Core.Crc32.of_string payload);
-    Bytes.to_string header ^ payload
-  in
   let tee = Symmetry.canonical (tet `T) in
-  let key = Store.key_of_prototile tee in
+  let key = Layout.key_of_prototile tee in
   let tiling =
     match found_entry tee with Store.Found { tiling; _ } -> tiling | Store.No_tiling -> assert false
   in
@@ -373,24 +417,19 @@ let test_rejected_certificate_dropped () =
   (match Oracle.Reference.check colliding with
   | Error (Core.Certificate.Not_collision_free _) -> ()
   | _ -> Alcotest.fail "the forged schedule must collide");
-  let forged =
-    frame
-      (String.concat "\n"
-         [ Core.Codec.encode_record ~kind:"store" [ ("key", key); ("status", "found") ];
-           Core.Codec.tiling_to_string tiling; Core.Certificate.to_string colliding ])
-  in
+  let forged = record key (Store.Found { tiling; certificate = colliding }) in
   (* One more valid record after the forged frame. *)
   let ell = Symmetry.canonical (tet `L) in
   let after =
     with_temp_store (fun path ->
         let store = Store.open_ path in
-        Store.put store (Store.key_of_prototile ell) (found_entry ell);
+        Store.put store (Layout.key_of_prototile ell) (found_entry ell);
         Store.close store;
         let data = read_file path in
-        String.sub data 8 (String.length data - 8))
+        String.sub data Layout.magic_len (String.length data - Layout.magic_len))
   in
   let others =
-    List.map Store.key_of_prototile
+    List.map Layout.key_of_prototile
       [ Symmetry.canonical (tet `S); Prototile.of_cells [ v2 0 0 ];
         Symmetry.canonical (Prototile.of_cells [ v2 0 0; v2 1 0 ]); ell ]
   in
@@ -440,6 +479,30 @@ let test_engine_source_tiers () =
       Alcotest.(check int) "no searches after restart" 0 s.Protocol.searches;
       Alcotest.(check int) "one store hit" 1 s.Protocol.store_hits;
       Store.close store)
+
+(* The store a daemon writes through is a Layout segment: the corpus's
+   record walker reads it end to end, and it holds band-0 records of
+   tag 1 (found) and tag 2 (not found) only. *)
+let test_store_file_is_segment () =
+  let ring = List.filter (fun c -> c <> v2 1 1) (List.init 9 (fun i -> v2 (i mod 3) (i / 3))) in
+  let tiles =
+    [ tet `S; tet `T; Prototile.of_cells ring; Prototile.of_cells [ v2 0 0; v2 1 0; v2 3 0 ] ]
+  in
+  with_temp_store (fun path ->
+      let store = Store.open_ path in
+      let server = Server.create ~store () in
+      List.iter (fun t -> ignore (Server.handle server (Protocol.Tile_search t))) tiles;
+      Store.close store;
+      match
+        Layout.fold_records (read_file path) ~init:[]
+          ~f:(fun acc ~off:_ ~band ~tag ~key:_ ~payload:_ -> (band, tag) :: acc)
+      with
+      | Error (_, _, e) -> Alcotest.failf "store file is not a clean segment: %s" e
+      | Ok records ->
+        Alcotest.(check (list (pair int int)))
+          "band 0; tag 1 per tiling, tag 2 per exhausted search"
+          [ (0, 1); (0, 1); (0, 2); (0, 2) ]
+          (List.rev records))
 
 let orientations tile =
   let rec rots k t = if k = 0 then [] else t :: rots (k - 1) (Prototile.rot90 t) in
@@ -504,8 +567,8 @@ let test_lru_keys_in_store () =
       Alcotest.(check int) "one LRU entry per class" 5 s.Protocol.cache_entries;
       List.iter
         (fun t ->
-          if not (Store.mem store (Store.key_of_prototile t)) then
-            Alcotest.failf "LRU key %s is not in the store" (Store.key_of_prototile t))
+          if not (Store.mem store (Layout.key_of_prototile t)) then
+            Alcotest.failf "LRU key %s is not in the store" (Layout.key_of_prototile t))
         tiles;
       Store.close store);
   with_temp_store (fun path ->
@@ -537,6 +600,10 @@ let () =
             test_find_fold_roundtrip;
           Alcotest.test_case "find parses without re-proving" `Quick
             test_find_does_not_reprove;
+          Alcotest.test_case "a file that is not a store is refused" `Quick
+            test_foreign_file_refused;
+          Alcotest.test_case "a key of 64 KiB or more round-trips" `Quick
+            test_long_key_roundtrip;
         ] );
       ( "recovery",
         [
@@ -555,5 +622,7 @@ let () =
             test_warm_store_answers_without_search;
           Alcotest.test_case "every LRU key is in the store" `Quick
             test_lru_keys_in_store;
+          Alcotest.test_case "the store file is a Layout segment" `Quick
+            test_store_file_is_segment;
         ] );
     ]
