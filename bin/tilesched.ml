@@ -14,6 +14,38 @@
 open Cmdliner
 open Lattice
 
+(* ---------- exit statuses ---------- *)
+
+(* A command that ran and failed - a non-exact tile, a missing or
+   refused corpus or store - exits 1; cmdliner keeps 124 for a bad
+   command line, so a script can tell a bad flag from a bad file. *)
+let runtime_failure = 1
+
+let exits =
+  Cmd.Exit.info runtime_failure
+    ~doc:"when the command fails at run time: a non-exact tile, a missing or refused file."
+  :: Cmd.Exit.defaults
+
+(* The exit status of a command's result, its failure printed on stderr. *)
+let status term =
+  Term.(
+    const (function
+      | Ok () -> Cmd.Exit.ok
+      | Error (`Msg msg) ->
+        Printf.eprintf "tilesched: %s\n%!" msg;
+        runtime_failure)
+    $ term)
+
+(* An integer option below [min] is a bad command line. *)
+let int_at_least min =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | Some _ -> Error (`Msg (Printf.sprintf "must be at least %d" min))
+    | None -> Error (`Msg "expected an integer")
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 (* ---------- prototile parsing ---------- *)
 
 let tile_conv =
@@ -31,18 +63,9 @@ let tile_arg =
    process-wide domain pool that the search engines draw from.  Results
    are bit-identical at every value (see DESIGN.md, "Parallel engine"). *)
 let jobs_term =
-  let jobs_conv =
-    let parse s =
-      match int_of_string_opt s with
-      | Some j when j >= 1 -> Ok j
-      | Some _ -> Error (`Msg "must be at least 1")
-      | None -> Error (`Msg "expected an integer")
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
   let jobs =
     Arg.(
-      value & opt jobs_conv 1
+      value & opt (int_at_least 1) 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Worker domains for the search and simulation engines (1 = sequential). Output is \
@@ -60,30 +83,26 @@ let height_arg =
 
 let figure_cmd =
   let num =
-    Arg.(required & pos 0 (some int) None & info [] ~docv:"N" ~doc:"Figure number, 1-5.")
+    let figures =
+      Render.Figures.
+        [ ("1", fig1_lattices); ("2", fig2_neighborhoods); ("3", fig3_schedule);
+          ("4", fig4_voronoi); ("5", fig5_nonrespectable) ]
+    in
+    Arg.(required & pos 0 (some (enum figures)) None & info [] ~docv:"N" ~doc:"Figure number, 1-5.")
   in
   let dir =
     Arg.(value & opt string "out" & info [ "d"; "dir" ] ~docv:"DIR" ~doc:"Output directory for SVG.")
   in
-  let run n dir =
-    let fig =
-      match n with
-      | 1 -> Ok (Render.Figures.fig1_lattices ())
-      | 2 -> Ok (Render.Figures.fig2_neighborhoods ())
-      | 3 -> Ok (Render.Figures.fig3_schedule ())
-      | 4 -> Ok (Render.Figures.fig4_voronoi ())
-      | 5 -> Ok (Render.Figures.fig5_nonrespectable ())
-      | _ -> Error (`Msg "figure number must be 1-5")
-    in
-    Result.map
-      (fun f ->
-        print_endline f.Render.Figures.ascii;
-        Render.Figures.save_all ~dir [ f ];
-        Printf.printf "\n[saved %s/%s.svg]\n" dir f.Render.Figures.name)
-      fig
+  let run fig dir =
+    let f = fig () in
+    print_endline f.Render.Figures.ascii;
+    Render.Figures.save_all ~dir [ f ];
+    Printf.printf "\n[saved %s/%s.svg]\n" dir f.Render.Figures.name;
+    Ok ()
   in
-  let term = Term.(term_result (const run $ num $ dir)) in
-  Cmd.v (Cmd.info "figure" ~doc:"Regenerate a figure of the paper.") term
+  Cmd.v
+    (Cmd.info ~exits "figure" ~doc:"Regenerate a figure of the paper.")
+    (status Term.(const run $ num $ dir))
 
 (* ---------- exact / schedule ---------- *)
 
@@ -104,14 +123,15 @@ let tiling_of tile =
 let exact_cmd =
   let run () tile =
     Printf.printf "prototile (m = %d):\n%s\n\n" (Prototile.size tile) (Render.Ascii.prototile tile);
-    match Tiling.Search.decide tile with
+    (match Tiling.Search.decide tile with
     | Tiling.Search.Exact t -> Format.printf "EXACT@.%a@." Tiling.Single.pp t
     | Tiling.Search.Non_exact r -> Printf.printf "NOT exact: %s\n" (reason r)
-    | Tiling.Search.Not_found -> Printf.printf "UNKNOWN: %s\n" not_found
+    | Tiling.Search.Not_found -> Printf.printf "UNKNOWN: %s\n" not_found);
+    Ok ()
   in
   Cmd.v
-    (Cmd.info "exact" ~doc:"Decide whether a prototile tiles the lattice (question Q1).")
-    Term.(const run $ jobs_term $ tile_arg)
+    (Cmd.info ~exits "exact" ~doc:"Decide whether a prototile tiles the lattice (question Q1).")
+    (status Term.(const run $ jobs_term $ tile_arg))
 
 let schedule_cmd =
   let run () tile width height =
@@ -130,8 +150,8 @@ let schedule_cmd =
       Ok ()
   in
   Cmd.v
-    (Cmd.info "schedule" ~doc:"Construct and verify an optimal schedule (Theorem 1).")
-    Term.(term_result (const run $ jobs_term $ tile_arg $ width_arg $ height_arg))
+    (Cmd.info ~exits "schedule" ~doc:"Construct and verify an optimal schedule (Theorem 1).")
+    Term.(status (const run $ jobs_term $ tile_arg $ width_arg $ height_arg))
 
 (* ---------- color ---------- *)
 
@@ -149,11 +169,12 @@ let color_cmd =
     Printf.printf "  annealing        : %d\n" (Coloring.Annealing.min_colors rng g);
     Printf.printf "  tabu search      : %d\n" (Coloring.Tabucol.min_colors rng g);
     Printf.printf "  lattice tiling   : %d (optimal for the infinite lattice)\n"
-      (Coloring.Baseline.tiling_slot_count tile)
+      (Coloring.Baseline.tiling_slot_count tile);
+    Ok ()
   in
   Cmd.v
-    (Cmd.info "color" ~doc:"Compare against distance-2 coloring baselines.")
-    Term.(const run $ tile_arg $ width_arg $ height_arg)
+    (Cmd.info ~exits "color" ~doc:"Compare against distance-2 coloring baselines.")
+    (status Term.(const run $ tile_arg $ width_arg $ height_arg))
 
 (* ---------- simulate ---------- *)
 
@@ -180,7 +201,7 @@ let simulate_cmd =
   in
   let runs_arg =
     Arg.(
-      value & opt int 1
+      value & opt (int_at_least 1) 1
       & info [ "runs" ] ~docv:"N"
           ~doc:
             "Sweep N seeds (SEED, SEED+1, ...) and report each run plus aggregate statistics; \
@@ -195,52 +216,50 @@ let simulate_cmd =
       | `Aloha -> Ok (Netsim.Mac.slotted_aloha ~p:0.2 ~max_backoff_exp:6)
       | `Csma -> Ok (Netsim.Mac.p_csma ~p:0.3)
     in
-    if runs < 1 then Error (`Msg "--runs must be at least 1")
-    else
-      Result.map
-        (fun mac ->
-          let cfg =
-            { (Netsim.Sim.default_config ~mac) with width; height; prototile = tile; duration;
-              workload = Netsim.Workload.Periodic { interval }; seed = Int64.of_int seed }
-          in
-          if runs = 1 then begin
-            let tr = if timeline > 0 then Some (Netsim.Trace.create ()) else None in
-            let r = Netsim.Sim.run { cfg with trace = tr } in
-            Format.printf "%a@." Netsim.Sim.pp_result r;
-            match tr with
-            | None -> ()
-            | Some tr ->
-              Printf.printf
-                "\ntimelines ('a' arrival, 'D' delivered, 'C' collided, '.' idle), slots 0-79:\n";
-              for node = 0 to min timeline (width * height) - 1 do
-                Printf.printf "node %3d  %s\n" node
-                  (Netsim.Trace.timeline tr ~node ~horizon:(min 80 duration))
-              done
-          end
-          else begin
-            if timeline > 0 then
-              prerr_endline "note: --timeline applies only to single runs; ignored with --runs";
-            let seeds = List.init runs (fun i -> Int64.add (Int64.of_int seed) (Int64.of_int i)) in
-            let results = Netsim.Sim.run_sweep cfg ~seeds in
-            List.iteri
-              (fun i r ->
-                Printf.printf "seed %-6Ld " (List.nth seeds i);
-                Format.printf "%a@." Netsim.Sim.pp_result r)
-              results;
-            let mean f = List.fold_left (fun acc r -> acc +. f r) 0.0 results /. float_of_int runs in
+    Result.map
+      (fun mac ->
+        let cfg =
+          { (Netsim.Sim.default_config ~mac) with width; height; prototile = tile; duration;
+            workload = Netsim.Workload.Periodic { interval }; seed = Int64.of_int seed }
+        in
+        if runs = 1 then begin
+          let tr = if timeline > 0 then Some (Netsim.Trace.create ()) else None in
+          let r = Netsim.Sim.run { cfg with trace = tr } in
+          Format.printf "%a@." Netsim.Sim.pp_result r;
+          match tr with
+          | None -> ()
+          | Some tr ->
             Printf.printf
-              "\naggregate over %d seeds: delivery %.1f%%  collisions %.1f  mean latency %.1f\n"
-              runs
-              (100.0 *. mean (fun r -> r.Netsim.Sim.stats.Netsim.Stats.delivery_ratio))
-              (mean (fun r -> float_of_int r.Netsim.Sim.stats.Netsim.Stats.collisions))
-              (mean (fun r -> r.Netsim.Sim.stats.Netsim.Stats.mean_latency))
-          end)
-        mac_factory
+              "\ntimelines ('a' arrival, 'D' delivered, 'C' collided, '.' idle), slots 0-79:\n";
+            for node = 0 to min timeline (width * height) - 1 do
+              Printf.printf "node %3d  %s\n" node
+                (Netsim.Trace.timeline tr ~node ~horizon:(min 80 duration))
+            done
+        end
+        else begin
+          if timeline > 0 then
+            prerr_endline "note: --timeline applies only to single runs; ignored with --runs";
+          let seeds = List.init runs (fun i -> Int64.add (Int64.of_int seed) (Int64.of_int i)) in
+          let results = Netsim.Sim.run_sweep cfg ~seeds in
+          List.iteri
+            (fun i r ->
+              Printf.printf "seed %-6Ld " (List.nth seeds i);
+              Format.printf "%a@." Netsim.Sim.pp_result r)
+            results;
+          let mean f = List.fold_left (fun acc r -> acc +. f r) 0.0 results /. float_of_int runs in
+          Printf.printf
+            "\naggregate over %d seeds: delivery %.1f%%  collisions %.1f  mean latency %.1f\n"
+            runs
+            (100.0 *. mean (fun r -> r.Netsim.Sim.stats.Netsim.Stats.delivery_ratio))
+            (mean (fun r -> float_of_int r.Netsim.Sim.stats.Netsim.Stats.collisions))
+            (mean (fun r -> r.Netsim.Sim.stats.Netsim.Stats.mean_latency))
+        end)
+      mac_factory
   in
   Cmd.v
-    (Cmd.info "simulate" ~doc:"Run the slotted wireless simulator.")
+    (Cmd.info ~exits "simulate" ~doc:"Run the slotted wireless simulator.")
     Term.(
-      term_result
+      status
         (const run $ jobs_term $ tile_arg $ width_arg $ height_arg $ mac_arg $ duration_arg
        $ interval_arg $ seed_arg $ timeline_arg $ runs_arg))
 
@@ -261,9 +280,9 @@ let certify_cmd =
       | Error f -> Error (`Msg (Format.asprintf "%a" Core.Certificate.pp_failure f)))
   in
   Cmd.v
-    (Cmd.info "certify"
+    (Cmd.info ~exits "certify"
        ~doc:"Emit a machine-checkable optimality certificate for a prototile's schedule.")
-    Term.(term_result (const run $ jobs_term $ tile_arg))
+    Term.(status (const run $ jobs_term $ tile_arg))
 
 (* ---------- export ---------- *)
 
@@ -294,8 +313,8 @@ let export_cmd =
       Ok ()
   in
   Cmd.v
-    (Cmd.info "export" ~doc:"Serialize a schedule for deployment tooling.")
-    Term.(term_result (const run $ jobs_term $ tile_arg $ width_arg $ height_arg $ fmt_arg))
+    (Cmd.info ~exits "export" ~doc:"Serialize a schedule for deployment tooling.")
+    Term.(status (const run $ jobs_term $ tile_arg $ width_arg $ height_arg $ fmt_arg))
 
 (* ---------- sync ---------- *)
 
@@ -328,9 +347,9 @@ let sync_cmd =
       Ok ()
   in
   Cmd.v
-    (Cmd.info "sync" ~doc:"Simulate beacon-flooding time synchronization.")
+    (Cmd.info ~exits "sync" ~doc:"Simulate beacon-flooding time synchronization.")
     Term.(
-      term_result
+      status
         (const run $ jobs_term $ tile_arg $ width_arg $ height_arg $ resync_arg $ drift_arg
        $ duration_arg))
 
@@ -366,11 +385,11 @@ let report_recovery store =
 
 let serve_cmd =
   let cache =
-    Arg.(value & opt int 256 & info [ "cache" ] ~docv:"N" ~doc:"Tiling cache capacity (LRU).")
+    Arg.(value & opt (int_at_least 1) 256 & info [ "cache" ] ~docv:"N" ~doc:"Tiling cache capacity (LRU).")
   in
   let queue =
     Arg.(
-      value & opt int 512
+      value & opt (int_at_least 1) 512
       & info [ "queue" ] ~docv:"N"
           ~doc:"Admission bound per batch; excess requests get an explicit overloaded reply.")
   in
@@ -400,48 +419,44 @@ let serve_cmd =
   in
   let run () socket cache queue deadline store_path corpus_path idle_timeout =
     let ( let* ) = Result.bind in
-    if cache < 1 then Error (`Msg "--cache must be at least 1")
-    else if queue < 1 then Error (`Msg "--queue must be at least 1")
-    else begin
-      let deadline = if deadline > 0.0 then Some deadline else None in
-      let* corpus =
-        match corpus_path with
-        | None -> Ok None
-        | Some dir -> (
-          match Corpus.Snapshot.open_ dir with
-          | Ok snap ->
-            Printf.eprintf "tilesched serve: corpus %s: %d precomputed verdicts\n%!" dir
-              (Corpus.Snapshot.length snap);
-            Ok (Some snap)
-          | Error msg -> Error (`Msg msg))
-      in
-      let* store =
-        match store_path with
-        | None -> Ok None
-        | Some path -> ( try Ok (Some (Store.open_ path)) with Sys_error msg -> Error (`Msg msg))
-      in
-      Option.iter report_recovery store;
-      let engine =
-        Server.create ~cache_capacity:cache ~queue_bound:queue ?deadline ?store ?corpus ()
-      in
-      (match socket with
-      | None -> Server.Frontend.serve_stdio engine
-      | Some path ->
-        Printf.eprintf "tilesched serve: listening on %s\n%!" path;
-        Server.Frontend.serve_unix ~idle_timeout engine ~path);
-      Option.iter Store.close store;
-      Ok ()
-    end
+    let deadline = if deadline > 0.0 then Some deadline else None in
+    let* corpus =
+      match corpus_path with
+      | None -> Ok None
+      | Some dir -> (
+        match Corpus.Snapshot.open_ dir with
+        | Ok snap ->
+          Printf.eprintf "tilesched serve: corpus %s: %d precomputed verdicts\n%!" dir
+            (Corpus.Snapshot.length snap);
+          Ok (Some snap)
+        | Error msg -> Error (`Msg msg))
+    in
+    let* store =
+      match store_path with
+      | None -> Ok None
+      | Some path -> ( try Ok (Some (Store.open_ path)) with Sys_error msg -> Error (`Msg msg))
+    in
+    Option.iter report_recovery store;
+    let engine =
+      Server.create ~cache_capacity:cache ~queue_bound:queue ?deadline ?store ?corpus ()
+    in
+    (match socket with
+    | None -> Server.Frontend.serve_stdio engine
+    | Some path ->
+      Printf.eprintf "tilesched serve: listening on %s\n%!" path;
+      Server.Frontend.serve_unix ~idle_timeout engine ~path);
+    Option.iter Store.close store;
+    Ok ()
   in
   Cmd.v
-    (Cmd.info "serve"
+    (Cmd.info ~exits "serve"
        ~doc:
          "Run the schedule server: one request line in, one reply line out (see README for \
           the wire protocol). Congruent tiles share one cached search result; with --store, \
           settled results also survive restarts; with --corpus, precomputed verdicts are \
           served from an mmap snapshot without deserialization.")
     Term.(
-      term_result
+      status
         (const run $ jobs_term $ socket_arg $ cache $ queue $ deadline $ store_arg $ corpus
        $ idle_timeout))
 
@@ -456,7 +471,7 @@ let corpus_cmd =
   in
   let max_area =
     Arg.(
-      value & opt int 10
+      value & opt (int_at_least 1) 10
       & info [ "n"; "max-area" ] ~docv:"N"
           ~doc:"Every free polyomino of area at most N (OEIS A000105 classes).")
   in
@@ -476,28 +491,25 @@ let corpus_cmd =
                torn corpus for the crash-recovery checks (0 = disabled).")
     in
     let run () dir max_area shards kill_at =
-      if max_area < 1 then Error (`Msg "-n must be at least 1")
-      else begin
-        let progress ~n ~done_ ~total =
-          if n = kill_at && done_ = (total + 1) / 2 then
-            Unix.kill (Unix.getpid ()) Sys.sigkill
-        in
-        match Corpus.Campaign.run ~shards ~progress ~dir ~max_n:max_area () with
-        | Ok report ->
-          Format.printf "%a@." Corpus.Campaign.pp_report report;
-          Ok ()
-        | Error msg -> Error (`Msg msg)
-      end
+      let progress ~n ~done_ ~total =
+        if n = kill_at && done_ = (total + 1) / 2 then
+          Unix.kill (Unix.getpid ()) Sys.sigkill
+      in
+      match Corpus.Campaign.run ~shards ~progress ~dir ~max_n:max_area () with
+      | Ok report ->
+        Format.printf "%a@." Corpus.Campaign.pp_report report;
+        Ok ()
+      | Error msg -> Error (`Msg msg)
     in
     Cmd.v
-      (Cmd.info "build"
+      (Cmd.info ~exits "build"
          ~doc:
            "Build (or resume) the verdict corpus: enumerate the free polyominoes band by band, \
             decide each with the Beauquier-Nivat criterion (spread over -j domains), append the \
             verdicts to sharded segments with a fsynced checkpoint after every band, and seal \
             the per-shard indexes. A killed build resumes from its last checkpoint and produces \
             a byte-identical corpus.")
-      Term.(term_result (const run $ jobs_term $ dir_arg $ max_area $ shards $ kill_at))
+      Term.(status (const run $ jobs_term $ dir_arg $ max_area $ shards $ kill_at))
   in
   let stats_cmd =
     (* Reads the manifest directly (not through Snapshot.open_) so a
@@ -528,11 +540,11 @@ let corpus_cmd =
           Ok ()
     in
     Cmd.v
-      (Cmd.info "stats"
+      (Cmd.info ~exits "stats"
          ~doc:
            "Print the corpus manifest: per-band class/exact/non-exact counts and totals (works \
             on an unsealed, half-built corpus too).")
-      Term.(term_result (const run $ dir_arg))
+      Term.(status (const run $ dir_arg))
   in
   let verify_cmd =
     let run () dir =
@@ -547,33 +559,30 @@ let corpus_cmd =
       | Error msg -> Error (`Msg msg)
     in
     Cmd.v
-      (Cmd.info "verify"
+      (Cmd.info ~exits "verify"
          ~doc:
            "Re-prove a sealed corpus from its bytes: CRC and framing of every record, canonical \
             keys, certificate checks, index completeness, and manifest agreement.")
-      Term.(term_result (const run $ jobs_term $ dir_arg))
+      Term.(status (const run $ jobs_term $ dir_arg))
   in
   let requests_cmd =
     let run max_area =
-      if max_area < 1 then Error (`Msg "-n must be at least 1")
-      else begin
-        let id = ref 0 in
-        Polyomino.enumerate_free_iter ~max_area (fun ~area:_ tile ->
-            print_endline
-              (Server.Protocol.request_to_string ~id:!id (Server.Protocol.Tile_search tile));
-            incr id);
-        Ok ()
-      end
+      let id = ref 0 in
+      Polyomino.enumerate_free_iter ~max_area (fun ~area:_ tile ->
+          print_endline
+            (Server.Protocol.request_to_string ~id:!id (Server.Protocol.Tile_search tile));
+          incr id);
+      Ok ()
     in
     Cmd.v
-      (Cmd.info "requests"
+      (Cmd.info ~exits "requests"
          ~doc:
            "Print one tile-search request line per free polyomino class, in corpus order - \
             pipe into 'tilesched serve' to replay the workload.")
-      Term.(term_result (const run $ max_area))
+      Term.(status (const run $ max_area))
   in
   Cmd.group
-    (Cmd.info "corpus"
+    (Cmd.info ~exits "corpus"
        ~doc:
          "Offline verdict corpus: a BN-filtered campaign over all small polyomino classes, \
           stored in sharded mmap-ready segments and served by 'tilesched serve --corpus' with \
@@ -591,7 +600,7 @@ let lifetime_cmd =
   in
   let rotate_arg =
     Arg.(
-      value & opt int 4
+      value & opt (int_at_least 2) 4
       & info [ "rotate" ] ~docv:"K"
           ~doc:
             "Rotate over up to K translation-inequivalent covers of the torus (at least 2; the \
@@ -599,7 +608,7 @@ let lifetime_cmd =
   in
   let deaths_arg =
     Arg.(
-      value & opt int 1
+      value & opt (int_at_least 0) 1
       & info [ "deaths" ] ~docv:"N"
           ~doc:"Seed-derived random sensor deaths injected into the battery simulation.")
   in
@@ -628,8 +637,6 @@ let lifetime_cmd =
   let run () tile width height rotate deaths policy battery seed =
     let ( let* ) = Result.bind in
     let m = Prototile.size tile in
-    let* () = if rotate >= 2 then Ok () else Error (`Msg "--rotate must be at least 2") in
-    let* () = if deaths >= 0 then Ok () else Error (`Msg "--deaths must be non-negative") in
     let torus = Sublattice.of_rows [ Zgeom.Vec.make2 width 0; Zgeom.Vec.make2 0 height ] in
     Printf.printf "prototile (m = %d):\n%s\n" m (Render.Ascii.prototile tile);
 
@@ -756,21 +763,21 @@ let lifetime_cmd =
     Ok ()
   in
   Cmd.v
-    (Cmd.info "lifetime"
+    (Cmd.info ~exits "lifetime"
        ~doc:
          "Lifetime demo: rotate the schedule over distinct covers of the deployment torus \
           (tighter leader-duty spread), repair a leader death by re-tiling a wrapped window \
           (certified, locally optimal), and compare static vs rotating battery lifetimes under \
           injected faults. Output is deterministic and bit-identical at every -j.")
     Term.(
-      term_result
+      status
         (const run $ jobs_term $ tile_arg $ width_arg $ height_arg $ rotate_arg $ deaths_arg
        $ policy_arg $ battery_arg $ seed_arg))
 
 let () =
   let doc = "Collision-free sensor scheduling by lattice tilings (Klappenecker-Lee-Welch 2008)" in
   exit
-    (Cmd.eval
-       (Cmd.group (Cmd.info "tilesched" ~version:"1.0.0" ~doc)
+    (Cmd.eval'
+       (Cmd.group (Cmd.info ~exits "tilesched" ~version:"1.0.0" ~doc)
           [ figure_cmd; exact_cmd; schedule_cmd; color_cmd; simulate_cmd; export_cmd; sync_cmd;
             certify_cmd; serve_cmd; corpus_cmd; lifetime_cmd ]))

@@ -24,8 +24,22 @@ let vecs_of_string s =
 
 (* A record line is "tilesched/v1;kind=K;key=value;..."; values may
    contain ';'-separated vectors, so fields are delimited by '|'. *)
+let add_fields buf fields =
+  List.iter
+    (fun (k, v) ->
+      Buffer.add_char buf '|';
+      Buffer.add_string buf k;
+      Buffer.add_char buf '=';
+      Buffer.add_string buf v)
+    fields
+
 let encode_record ~kind fields =
-  String.concat "|" ((magic ^ ";kind=" ^ kind) :: List.map (fun (k, v) -> k ^ "=" ^ v) fields)
+  let buf = Buffer.create 128 in
+  Buffer.add_string buf magic;
+  Buffer.add_string buf ";kind=";
+  Buffer.add_string buf kind;
+  add_fields buf fields;
+  Buffer.contents buf
 
 let decode_record ~kind:expected_kind s =
   match String.split_on_char '|' s with

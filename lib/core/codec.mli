@@ -24,6 +24,11 @@
     on-the-wire artifact shares one grammar. *)
 
 val encode_record : kind:string -> (string * string) list -> string
+
+val add_fields : Buffer.t -> (string * string) list -> unit
+(** Appends ["|k=v"] for each field: the tail of an {!encode_record}
+    line, for lines assembled around an already-encoded fragment. *)
+
 val decode_record : kind:string -> string -> ((string * string) list, string) result
 
 val field : (string * string) list -> string -> (string, string) result

@@ -6,7 +6,9 @@
 
     The accumulator crosses the interface as [int32], but the hot loops
     run on the native [int] representation: per-byte [Int32] arithmetic
-    boxes every intermediate. *)
+    boxes every intermediate.  The loops are slice-by-8: eight
+    256-entry tables fold eight bytes per step, with a bytewise tail;
+    the checksum is the one a bytewise table gives, bit for bit. *)
 
 type bigstring = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -15,7 +17,7 @@ val init : int32
 
 val string : int32 -> string -> int -> int -> int32
 (** [string crc s pos len] feeds [s.[pos .. pos + len - 1]] into the
-    accumulator; the range is not bounds-checked. *)
+    accumulator.  The caller keeps the range inside [s]. *)
 
 val bigstring : int32 -> bigstring -> int -> int -> int32
 (** {!string} over a bigstring (e.g. a slice of an mmapped segment). *)

@@ -57,5 +57,12 @@ val canonical : Prototile.t -> Prototile.t
 val canonicalize : Prototile.t -> Prototile.t * element
 (** [canonicalize p] is [(canonical p, g)] with a witness [g] such that
     the cells of [canonical p] are [apply g] of the cells of [p],
-    translated so the lexicographic minimum sits at the origin.  In
-    dimensions other than 2 the witness is {!identity}. *)
+    translated so the lexicographic minimum sits at the origin.  When
+    several images tie (a symmetric tile), [g] is the first of them in
+    {!elements} order.  In dimensions other than 2 the witness is
+    {!identity}.
+
+    The images are built, anchored and sorted in flat int arrays with the
+    same wrapping arithmetic as {!apply} and [Vec.sub], so the result is
+    defined for every coordinate, and the cost is [O(n log n)] in the
+    number of cells. *)

@@ -496,6 +496,15 @@ let run_core ~quota =
      [torus-mat-*] is the end-to-end materializing search, which adds
      the [Multi.t] construction and retention cost (the Amdahl floor
      EXP-P2 documents). *)
+  (* The per-request kernels of a warm daemon: the cache key of an
+     area-12 polyomino met a quarter turn away from its canonical
+     orientation, and the CRC-32 trailer of a 256-byte frame. *)
+  let poly12_turned =
+    Prototile.of_cells
+      (List.map (Symmetry.apply { Symmetry.rotation = 1; reflected = false })
+         (Prototile.cells nonexact_poly12))
+  in
+  let frame256 = String.init 256 (fun i -> Char.chr ((i * 31) land 0xff)) in
   let sz48_period = Sublattice.of_basis [| [| 4; 0 |]; [| 0; 8 |] |] in
   let sz = [ s_tet; z_tet ] in
   let seq_pool = Parallel.create ~jobs:1 in
@@ -549,6 +558,10 @@ let run_core ~quota =
         Test.make ~name:"torus-mat-bitmask" (Staged.stage (torus_mat `Bitmask));
         Test.make ~name:"torus-stages-nonexact-poly12"
           (Staged.stage (exhaust_stages nonexact_poly12));
+        Test.make ~name:"symmetry-canonicalize-poly12"
+          (Staged.stage (fun () -> Symmetry.canonicalize poly12_turned));
+        Test.make ~name:"crc32-frame-256"
+          (Staged.stage (fun () -> Core.Crc32.string Core.Crc32.init frame256 0 256));
         Test.make ~name:"certificate-check-cheb1"
           (Staged.stage
              (let cert = Core.Certificate.build cheb1_tiling in
@@ -571,13 +584,14 @@ let suites =
     { name = "core";
       doc =
         "Core machinery, one workload per hot subsystem, including the three torus \
-         exact-cover engines on the EXP-P2 workload and every torus stage of a non-exact \
-         polyomino";
+         exact-cover engines on the EXP-P2 workload, every torus stage of a non-exact \
+         polyomino, and the two per-request kernels of a warm daemon (canonicalization and \
+         CRC-32)";
       required =
         ns
           [ "torus-all-backtracking"; "torus-all-dlx"; "torus-all-bitmask";
             "torus-mat-backtracking"; "torus-mat-dlx"; "torus-mat-bitmask";
-            "torus-stages-nonexact-poly12" ];
+            "torus-stages-nonexact-poly12"; "symmetry-canonicalize-poly12"; "crc32-frame-256" ];
       gates = [];
       run = run_core };
     { name = "skew";

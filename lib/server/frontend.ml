@@ -6,23 +6,27 @@ let max_line = 1024 * 1024
 
 let is_shutdown_resp = function Protocol.Shutting_down -> true | _ -> false
 
-let handle_lines engine lines =
-  let parsed = List.map Protocol.request_of_string lines in
-  let reqs =
-    List.filter_map (function Ok (_, req) -> Some req | Error _ -> None) parsed
-  in
-  let resps = Engine.handle_batch engine reqs in
-  let shutdown = List.exists is_shutdown_resp resps in
-  let rec merge parsed resps =
+(* The reply line of each request line, in order: an unparsable line
+   gets its error, a parsed one the engine's response. *)
+let reply_lines parsed resps =
+  let rec go parsed resps =
     match (parsed, resps) with
     | [], [] -> []
-    | Error msg :: tl, resps ->
-      Protocol.response_to_string (Error_r msg) :: merge tl resps
-    | Ok (id, _) :: tl, resp :: resps ->
-      Protocol.response_to_string ?id resp :: merge tl resps
+    | Error msg :: tl, resps -> Protocol.response_to_string (Error_r msg) :: go tl resps
+    | Ok (id, _) :: tl, resp :: resps -> Protocol.response_to_string ?id resp :: go tl resps
     | Ok _ :: _, [] | [], _ :: _ -> assert false
   in
-  (merge parsed resps, shutdown)
+  go parsed resps
+
+(* Each line's parse and the requests among them, in order. *)
+let parse_lines lines =
+  let parsed = List.map Protocol.request_of_string lines in
+  (parsed, List.filter_map (function Ok (_, req) -> Some req | Error _ -> None) parsed)
+
+let handle_lines engine lines =
+  let parsed, reqs = parse_lines lines in
+  let resps = Engine.handle_batch engine reqs in
+  (reply_lines parsed resps, List.exists is_shutdown_resp resps)
 
 let serve_stdio engine =
   let bound = Engine.queue_bound engine in
@@ -145,24 +149,13 @@ type proto = Sniffing | Text | Binary
 
 type cstate = { mutable proto : proto; ibuf : Ibuf.t; mutable pending : int }
 
-type slot = Bad_line of string | Parsed of int option
-
-let render_text slots resps =
+let render_text parsed resps =
   let buf = Buffer.create 256 in
-  let rec go slots resps =
-    match (slots, resps) with
-    | [], [] -> ()
-    | Bad_line msg :: tl, resps ->
-      Buffer.add_string buf (Protocol.response_to_string (Error_r msg));
-      Buffer.add_char buf '\n';
-      go tl resps
-    | Parsed id :: tl, resp :: resps ->
-      Buffer.add_string buf (Protocol.response_to_string ?id resp);
-      Buffer.add_char buf '\n';
-      go tl resps
-    | Parsed _ :: _, [] | [], _ :: _ -> assert false
-  in
-  go slots resps;
+  List.iter
+    (fun line ->
+      Buffer.add_string buf line;
+      Buffer.add_char buf '\n')
+    (reply_lines parsed resps);
   Buffer.contents buf
 
 let render_binary ids resps =
@@ -211,7 +204,7 @@ let serve_unix ?(idle_timeout = 0.) engine ~path =
                   if shutdown then Loop.shutdown loop)) }
   in
   let process_text loop c st =
-    let slots = ref [] and reqs = ref [] in
+    let lines = ref [] in
     let overflow = ref false in
     let continue = ref true in
     while !continue do
@@ -222,20 +215,15 @@ let serve_unix ?(idle_timeout = 0.) engine ~path =
       in
       match find_nl 0 with
       | Some i ->
-        let line = Bytes.sub_string st.ibuf.Ibuf.data st.ibuf.Ibuf.start i in
-        Ibuf.drop st.ibuf (i + 1);
-        (match Protocol.request_of_string line with
-        | Ok (id, req) ->
-          slots := Parsed id :: !slots;
-          reqs := req :: !reqs
-        | Error msg -> slots := Bad_line msg :: !slots)
+        lines := Bytes.sub_string st.ibuf.Ibuf.data st.ibuf.Ibuf.start i :: !lines;
+        Ibuf.drop st.ibuf (i + 1)
       | None ->
         continue := false;
         if st.ibuf.Ibuf.len > max_line then overflow := true
     done;
-    if !slots <> [] then begin
-      let slots = List.rev !slots in
-      submit loop c (render_text slots) (List.rev !reqs)
+    if !lines <> [] then begin
+      let parsed, reqs = parse_lines (List.rev !lines) in
+      submit loop c (render_text parsed) reqs
     end;
     if !overflow then Loop.close_conn loop c
   in

@@ -227,9 +227,12 @@ let response_to_string ?id resp =
        verbatim - the record grammar is flat, so field concatenation is
        string concatenation.  Decoders cannot tell this line from a
        [Tiling_r] one (and [response_of_string] yields [Tiling_r]). *)
-    String.concat "|"
-      ((encode [ ("status", "ok"); ("op", "tile-search") ] :: [ tiling_fields ])
-      @ List.map (fun (k, v) -> k ^ "=" ^ v) (source_fields source))
+    let buf = Buffer.create (String.length tiling_fields + 96) in
+    Buffer.add_string buf (encode [ ("status", "ok"); ("op", "tile-search") ]);
+    Buffer.add_char buf '|';
+    Buffer.add_string buf tiling_fields;
+    Codec.add_fields buf (source_fields source);
+    Buffer.contents buf
   | Stats_r s -> encode (("status", "ok") :: ("op", "stats") :: stats_fields s)
   | No_tiling source -> encode (("status", "no-tiling") :: source_fields source)
   | Overloaded -> encode [ ("status", "overloaded") ]

@@ -71,7 +71,8 @@ let src_of_byte = function
 
 let no_id = 0xFFFFFFFF
 
-let frame_prefix ?id ~opcode ~payload_len () =
+(* Writes the 12-byte header at the start of [b]. *)
+let set_prefix b ?id ~opcode ~payload_len () =
   if payload_len < 0 || payload_len > max_payload then
     invalid_arg "Wire.frame_prefix: payload length";
   let idv =
@@ -80,20 +81,28 @@ let frame_prefix ?id ~opcode ~payload_len () =
     | Some i when i >= 0 && i < no_id -> i
     | Some _ -> invalid_arg "Wire.frame_prefix: id out of u32 range"
   in
-  let b = Bytes.create header_size in
   Bytes.set b 0 magic0;
   Bytes.set b 1 magic1;
   Bytes.set b 2 (Char.chr version);
   Bytes.set b 3 (Char.chr opcode);
   Bytes.set_int32_le b 4 (Int32.of_int idv);
-  Bytes.set_int32_le b 8 (Int32.of_int payload_len);
+  Bytes.set_int32_le b 8 (Int32.of_int payload_len)
+
+let frame_prefix ?id ~opcode ~payload_len () =
+  let b = Bytes.create header_size in
+  set_prefix b ?id ~opcode ~payload_len ();
   Bytes.unsafe_to_string b
 
-let finish_frame ?id ~opcode payload =
-  let plen = String.length payload in
-  let prefix = frame_prefix ?id ~opcode ~payload_len:plen () in
-  let crc = crc_string (crc_string crc_init prefix 0 header_size) payload 0 plen in
-  String.concat "" [ prefix; payload; crc_emit crc ]
+(* The frame around the payload in [buf], built in one allocation with
+   the checksum taken over the frame bytes in place. *)
+let finish_frame ?id ~opcode buf =
+  let plen = Buffer.length buf in
+  let b = Bytes.create (header_size + plen + trailer_size) in
+  set_prefix b ?id ~opcode ~payload_len:plen ();
+  Buffer.blit buf 0 b header_size plen;
+  let crc = crc_string crc_init (Bytes.unsafe_to_string b) 0 (header_size + plen) in
+  Bytes.set_int32_le b (header_size + plen) (Int32.lognot crc);
+  Bytes.unsafe_to_string b
 
 type need = Need_more | Total of int | Bad_frame of string
 
@@ -138,16 +147,17 @@ let put_vec buf v =
   List.iter (put_i64 buf) coords
 
 let put_tile buf tile =
-  let cells = Prototile.cells tile in
-  let dim = match cells with [] -> 0 | v :: _ -> Zgeom.Vec.dim v in
-  let n = List.length cells in
+  let dim = Prototile.dim tile and n = Prototile.size tile in
   if dim > 0xff then invalid_arg "Wire: tile dimension out of range";
   if n > 0xffff then invalid_arg "Wire: tile cell count out of range";
   Buffer.add_uint8 buf dim;
   Buffer.add_uint16_le buf n;
-  List.iter
-    (fun v -> List.iter (put_i64 buf) (Zgeom.Vec.to_list v))
-    cells
+  Zgeom.Vec.Set.iter
+    (fun v ->
+      for i = 0 to dim - 1 do
+        put_i64 buf (Zgeom.Vec.coord v i)
+      done)
+    (Prototile.cell_set tile)
 
 let put_src buf source = Buffer.add_char buf (src_byte source)
 
@@ -168,7 +178,7 @@ let encode_request ?id req =
     | Stats -> op_stats
     | Shutdown -> op_shutdown
   in
-  finish_frame ?id ~opcode (Buffer.contents buf)
+  finish_frame ?id ~opcode buf
 
 let encode_response ?id resp =
   let buf = Buffer.create 64 in
@@ -207,7 +217,7 @@ let encode_response ?id resp =
         Buffer.add_string buf msg;
         op_error_r
   in
-  finish_frame ?id ~opcode (Buffer.contents buf)
+  finish_frame ?id ~opcode buf
 
 (* ---------- payload readers ---------- *)
 

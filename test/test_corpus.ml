@@ -72,6 +72,26 @@ let test_campaign_counts_and_skip () =
       Alcotest.(check int) "all six bands skipped" 6 r2.Campaign.skipped_bands;
       check_bands_to_6 r2.Campaign.bands)
 
+(* The n <= 6 segments, byte for byte: keys (canonical forms), record
+   framing, payload codec and CRC trailers.  The digest was computed
+   before the integer canonicalization and slice-by-8 CRC kernels
+   replaced the set-based and bytewise ones, so a change in any key or
+   checksum byte fails here. *)
+let golden_segments_to_6 = "4f1bb2d82df8c167038ac8329c7ab33f"
+
+let test_segments_golden () =
+  with_temp_dir (fun dir ->
+      ignore (ok_or_fail (Campaign.run ~dir ~max_n:6 ()));
+      let segs =
+        Sys.readdir dir |> Array.to_list
+        |> List.filter (fun f -> Filename.check_suffix f ".seg")
+        |> List.sort compare
+      in
+      Alcotest.(check int) "segment files" 8 (List.length segs);
+      let bytes = String.concat "" (List.map (fun f -> read_file (Filename.concat dir f)) segs) in
+      Alcotest.(check string) "md5 of the segments, in shard order" golden_segments_to_6
+        (Digest.to_hex (Digest.string bytes)))
+
 exception Kaboom
 
 let test_crash_resume_byte_identical () =
@@ -344,6 +364,7 @@ let () =
             test_campaign_counts_and_skip;
           Alcotest.test_case "crash mid-band, resume byte-identical" `Quick
             test_crash_resume_byte_identical;
+          Alcotest.test_case "n <= 6 segment bytes (golden)" `Quick test_segments_golden;
         ] );
       ( "snapshot",
         [

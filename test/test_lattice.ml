@@ -295,6 +295,70 @@ let qcheck_canonicalize_witness =
       Prototile.equal c
         (Prototile.of_cells_anchored (List.map (Symmetry.apply g) (Prototile.cells p))))
 
+(* Differential: the integer kernel against the set-based oracle, on the
+   same canonical tile and the same witness. *)
+let agrees_with_oracle p =
+  let c, g = Symmetry.canonicalize p and c', g' = Oracle.Canon.canonicalize p in
+  Prototile.equal c c' && g = g'
+
+let print_cells p =
+  String.concat ";" (List.map Vec.to_string (Prototile.cells p))
+
+let oracle_gen =
+  let open QCheck.Gen in
+  let of_coords coords = Prototile.of_cells_anchored (List.map Vec.of_list coords) in
+  let far = 1 lsl 40 in
+  let polyomino =
+    (* A random polyomino in a random orientation, its origin on a random cell. *)
+    triple random_tile_gen (oneofl Symmetry.elements) nat >|= fun (p, e, k) ->
+    let cells = List.map (Symmetry.apply e) (Prototile.cells p) in
+    let o = List.nth cells (k mod List.length cells) in
+    Prototile.of_cells (List.map (fun v -> Vec.sub v o) cells)
+  in
+  let sparse =
+    (* spread >= 2 leaves 25 >= 12 candidate points. *)
+    triple (int_range 1 12) (int_range 2 30) (int_bound 1_000_000) >|= fun (cells, spread, seed) ->
+    Randomtile.sparse (Prng.Xoshiro.create (Int64.of_int seed)) ~cells ~spread
+  in
+  let near_far =
+    (* Coordinates near +-2^40: anchored differences reach 2^41. *)
+    list_size (int_range 1 10)
+      (pair (oneofl [ far; -far ]) (pair (int_range (-3) 3) (int_range (-3) 3)))
+    >|= List.map (fun (base, (dx, dy)) -> [ base + dx; base - dy ])
+    >|= of_coords
+  in
+  let any_int =
+    (* Whole 63-bit coordinates: negation and anchoring wrap. *)
+    list_size (int_range 1 8) (pair int int) >|= List.map (fun (x, y) -> [ x; y ]) >|= of_coords
+  in
+  let symmetric =
+    (* Tied images: every D4 element (or a subgroup) maps the tile to itself. *)
+    oneofl
+      [ Prototile.chebyshev_ball ~dim:2 1; Prototile.euclidean_ball ~dim:2 2;
+        Prototile.manhattan_ball ~dim:2 2; Prototile.rect 3 3; Prototile.rect 2 5;
+        Prototile.tetromino `O; Prototile.tetromino `S; Prototile.pentomino `X;
+        Prototile.of_cells [ Vec.make2 0 0 ] ]
+  in
+  let other_dims =
+    int_range 1 3 >>= fun d ->
+    list_size (int_range 1 10) (list_repeat d (int_range (-5) 5)) >|= of_coords
+  in
+  frequency
+    [ (4, polyomino); (2, sparse); (1, near_far); (1, any_int); (1, symmetric); (1, other_dims) ]
+
+let qcheck_canonicalize_oracle =
+  QCheck.Test.make ~name:"canonicalize = set-based oracle (tile and witness)" ~count:2000
+    (QCheck.make ~print:print_cells oracle_gen) agrees_with_oracle
+
+let test_canonicalize_cases () =
+  List.iter
+    (fun (name, p) -> Alcotest.(check bool) name true (agrees_with_oracle p))
+    [ ("1 x 40 bar, heap sort", Prototile.rect 1 40); ("40 x 1 bar", Prototile.rect 40 1);
+      ("cheb3 (49 cells, 8-way tie)", Prototile.chebyshev_ball ~dim:2 3);
+      ("min_int corner", Prototile.of_cells [ Vec.make2 0 0; Vec.make2 min_int max_int ]);
+      ("d = 1", Prototile.of_cells [ Vec.of_list [ 0 ]; Vec.of_list [ -3 ]; Vec.of_list [ 2 ] ]);
+      ("d = 3", Prototile.chebyshev_ball ~dim:3 1) ]
+
 let qcheck_inverse_law =
   QCheck.Test.make ~name:"apply (inverse e) undoes apply e" ~count:200
     (QCheck.pair (QCheck.make vec2_gen) (QCheck.make (QCheck.Gen.oneofl Symmetry.elements)))
@@ -621,6 +685,8 @@ let () =
           qc qcheck_canonical_invariant;
           qc qcheck_canonicalize_witness;
           qc qcheck_inverse_law;
+          qc qcheck_canonicalize_oracle;
+          Alcotest.test_case "canonicalize = oracle on edge cases" `Quick test_canonicalize_cases;
         ] );
       ( "polyomino",
         [

@@ -92,6 +92,43 @@ let test_crc32_vector () =
   Alcotest.(check string) "wire trailer of 123456789" "\x26\x39\xf4\xcb"
     (Server.Wire.crc_emit (Server.Wire.crc_string Server.Wire.crc_init "123456789" 0 9))
 
+(* The slice-by-8 kernel against the bitwise oracle: every length 0-64
+   at every start offset 0-7 (so every split into 8-byte steps and a
+   bytewise tail), from a non-initial accumulator, on both sources. *)
+let bigstring_of_string s =
+  let b = Bigarray.Array1.create Bigarray.char Bigarray.c_layout (String.length s) in
+  String.iteri (fun i c -> b.{i} <- c) s;
+  b
+
+let test_crc32_every_split () =
+  let s = String.init 80 (fun i -> Char.chr (((i * 157) + 11) land 0xff)) in
+  let b = bigstring_of_string s in
+  for pos = 0 to 7 do
+    for len = 0 to 64 do
+      List.iter
+        (fun crc ->
+          let name = Printf.sprintf "pos %d len %d from %lx" pos len crc in
+          Alcotest.(check int32) ("string " ^ name) (Oracle.Crc.string crc s pos len)
+            (Core.Crc32.string crc s pos len);
+          Alcotest.(check int32) ("bigstring " ^ name) (Oracle.Crc.bigstring crc b pos len)
+            (Core.Crc32.bigstring crc b pos len))
+        [ Core.Crc32.init; 0l; 0x5A5A_1234l ]
+    done
+  done
+
+let qcheck_crc32_oracle =
+  let gen =
+    QCheck.Gen.(
+      triple (string_size (int_range 0 4096)) nat ui32 >|= fun (s, k, crc) ->
+      let pos = if s = "" then 0 else k mod String.length s in
+      (s, pos, String.length s - pos, crc))
+  in
+  QCheck.Test.make ~name:"crc32 string and bigstring = bitwise oracle" ~count:300
+    (QCheck.make gen) (fun (s, pos, len, crc) ->
+      let want = Oracle.Crc.string crc s pos len in
+      Core.Crc32.string crc s pos len = want
+      && Core.Crc32.bigstring crc (bigstring_of_string s) pos len = want)
+
 let test_roundtrip_supersede_compact () =
   with_temp_store (fun path ->
       let canon = Symmetry.canonical (tet `S) in
@@ -604,6 +641,9 @@ let () =
             test_foreign_file_refused;
           Alcotest.test_case "a key of 64 KiB or more round-trips" `Quick
             test_long_key_roundtrip;
+          Alcotest.test_case "crc32 = oracle at every offset and short length" `Quick
+            test_crc32_every_split;
+          QCheck_alcotest.to_alcotest qcheck_crc32_oracle;
         ] );
       ( "recovery",
         [
