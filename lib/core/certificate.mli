@@ -11,7 +11,13 @@
       witness - the proof of Theorem 1, made concrete).
 
     [check] re-verifies everything from first principles, trusting
-    nothing but [N]:
+    nothing but [N].  It first runs Theorem 1's own argument on coset
+    ids: the clique, as listed, is [N + s] for one shift [s], and every
+    window [w + N] of the period's quotient carries [|N|] distinct slots
+    ({!Collision.is_collision_free_homogeneous}: [O(index * |N|)] steps,
+    [O(|N| + m)] memory).  That test only accepts; any certificate it
+    does not accept goes to the exact scan below, which decides the
+    result and reports the failure:
     - the clique, through the identity
       [(u + N) n (v + N) <> 0 <=> v - u in N - N]: one lookup in the
       difference set per pair, no translated sets;

@@ -86,8 +86,10 @@ let basis_of_string s =
 
 let schedule_to_string sched =
   let period = Schedule.period sched in
+  (* Coset ids are the lexicographic ranks of the HNF box points, so the
+     table in id order is the table in [Sublattice.cosets] order. *)
   let table =
-    List.map (fun c -> string_of_int (Schedule.slot_at sched c)) (Sublattice.cosets period)
+    List.init (Sublattice.index period) (fun id -> string_of_int (Schedule.slot_of_id sched id))
   in
   encode_record ~kind:"schedule"
     [ ("dim", string_of_int (Sublattice.dim period));
@@ -111,15 +113,7 @@ let schedule_of_string s =
            (Sublattice.index period))
     else if not (Array.for_all (fun v -> 0 <= v && v < m) table) then
       Error "table entry out of slot range"
-    else begin
-      (* The stored table is indexed by the lexicographic coset order of
-         [Sublattice.cosets]; re-key it by coset_id. *)
-      let by_id = Array.make (Sublattice.index period) 0 in
-      List.iteri
-        (fun i c -> by_id.(Sublattice.coset_id period c) <- table.(i))
-        (Sublattice.cosets period);
-      Ok (Schedule.of_table ~period ~num_slots:m by_id)
-    end
+    else Ok (Schedule.of_table ~period ~num_slots:m table)
   | exception Failure _ -> Error "malformed integer"
 
 let tiling_to_string t =

@@ -61,6 +61,28 @@ let violations ~neighborhoods ~diff_bound schedule =
   done;
   List.rev !out
 
+(* The collision condition of a homogeneous deployment, read from the
+   windows: [slot u <> slot (u + a - b)] for all cells [a <> b] of [N]
+   is, with [w = u - b], that every window [w + N] of the quotient
+   carries [|N|] distinct slots.  One stamp per slot checks a window in
+   one pass, so the test takes O(index * |N|) steps and O(|N| + m)
+   memory, with no difference set and no table of translated ids. *)
+let is_collision_free_homogeneous n schedule =
+  let stamp = Array.make (Schedule.num_slots schedule) (-1) and window = ref (-1) in
+  let rec distinct ids j =
+    j = Array.length ids
+    ||
+    let s = Schedule.slot_of_id schedule ids.(j) in
+    stamp.(s) <> !window
+    && begin
+      stamp.(s) <- !window;
+      distinct ids (j + 1)
+    end
+  in
+  Sublattice.for_all_windows (Schedule.period schedule) (Prototile.cells n) (fun ids ->
+      incr window;
+      distinct ids 0)
+
 let violations_theorem1 tiling schedule =
   let n = Tiling.Single.prototile tiling in
   violations
@@ -68,7 +90,8 @@ let violations_theorem1 tiling schedule =
     ~diff_bound:(Prototile.difference_set n)
     schedule
 
-let is_collision_free_theorem1 tiling schedule = violations_theorem1 tiling schedule = []
+let is_collision_free_theorem1 tiling schedule =
+  is_collision_free_homogeneous (Tiling.Single.prototile tiling) schedule
 
 let union_prototile multi =
   Prototile.of_cells (Tiling.Multi.union_cells multi)

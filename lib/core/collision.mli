@@ -34,9 +34,19 @@ val violations :
     every possible difference [v - u] of a colliding pair, e.g. the
     difference set of the union of all prototiles in play. *)
 
+val is_collision_free_homogeneous : Lattice.Prototile.t -> Schedule.t -> bool
+(** Every sensor with neighborhood [N]: the same verdict as
+    [violations ~neighborhoods:(fun _ -> n) ~diff_bound:(difference_set n)
+    = []], decided without the difference set.  Two sensors [u] and
+    [u + a - b] ([a <> b] cells of [N]) are the cells [a] and [b] of the
+    window [w + N] with [w = u - b], so the schedule is collision-free
+    iff every window of the quotient carries [|N|] distinct slots
+    ({!Lattice.Sublattice.for_all_windows}: [O(index * |N|)] steps,
+    [O(|N| + m)] memory). *)
+
 val is_collision_free_theorem1 : Tiling.Single.t -> Schedule.t -> bool
 (** Homogeneous deployment with the tiling's prototile (Theorem 1
-    setting). *)
+    setting): {!is_collision_free_homogeneous}. *)
 
 val violations_theorem1 : Tiling.Single.t -> Schedule.t -> violation list
 

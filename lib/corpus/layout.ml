@@ -71,13 +71,16 @@ let decode_payload payload =
 
 (* The keying rule: an exact record is keyed by the canonical key of its
    tiling's prototile, which also forces the stored orientation to be
-   the canonical one the server's transport step assumes. *)
+   the canonical one the server's transport step assumes.  The key of
+   the tile as stored equals the key of its canonical form exactly when
+   the tile is its own canonical form, so one key string and one
+   canonicalization decide it. *)
 let check_key ~key tiling (certificate : Core.Certificate.t) =
   let proto = Tiling.Single.prototile tiling in
   if not (Prototile.equal proto certificate.prototile) then
     Error "certificate prototile differs from tiling prototile"
-  else if key_of_cells proto <> key || key_of_prototile proto <> key then
-    Error "key is not the canonical key of the tiling"
+  else if key_of_cells proto <> key || not (Prototile.equal (Symmetry.canonical proto) proto)
+  then Error "key is not the canonical key of the tiling"
   else Ok ()
 
 let prove ~key tiling certificate =

@@ -15,10 +15,14 @@ let polyomino rng ~cells =
 
 let sparse rng ~cells ~spread =
   assert (cells >= 1 && spread >= 0);
+  let side = (2 * spread) + 1 in
+  if cells > side * side then
+    invalid_arg
+      (Printf.sprintf "Randomtile.sparse: %d cells do not fit in a %d x %d box" cells side side);
   let shape = ref (Vec.Set.singleton (Vec.zero 2)) in
   while Vec.Set.cardinal !shape < cells do
-    let x = Prng.Xoshiro.int rng ((2 * spread) + 1) - spread in
-    let y = Prng.Xoshiro.int rng ((2 * spread) + 1) - spread in
+    let x = Prng.Xoshiro.int rng side - spread in
+    let y = Prng.Xoshiro.int rng side - spread in
     shape := Vec.Set.add (Vec.make2 x y) !shape
   done;
   Prototile.of_cells (Vec.Set.elements !shape)

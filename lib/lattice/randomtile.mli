@@ -12,4 +12,6 @@ val polyomino : Prng.Xoshiro.t -> cells:int -> Prototile.t
 val sparse : Prng.Xoshiro.t -> cells:int -> spread:int -> Prototile.t
 (** Random (generally disconnected) prototile: the origin plus
     [cells - 1] further points drawn uniformly from the box
-    [[-spread, spread]^2]. Exercises the non-polyomino code paths. *)
+    [[-spread, spread]^2]. Exercises the non-polyomino code paths.
+    Raises [Invalid_argument] when [cells > (2 * spread + 1)^2], since the
+    box has fewer points than that. *)

@@ -104,6 +104,56 @@ let translate_ids t d =
   done;
   out
 
+(* Coset id of [r + c] for two box points: [reduce]'s triangular sweep
+   on [x := r + c].  The HNF's entries above the diagonal are reduced
+   below it, so each coordinate is off its box range by a few periods at
+   most when its turn comes, and it settles by adding or subtracting
+   its basis row instead of dividing. *)
+let id_of_box_sum t r c x =
+  for i = 0 to t.dim - 1 do
+    x.(i) <- r.(i) + c.(i)
+  done;
+  let id = ref 0 in
+  for i = 0 to t.dim - 1 do
+    let row = t.hnf.(i) and d = t.diag.(i) in
+    while x.(i) >= d do
+      for j = i to t.dim - 1 do
+        x.(j) <- x.(j) - row.(j)
+      done
+    done;
+    while x.(i) < 0 do
+      for j = i to t.dim - 1 do
+        x.(j) <- x.(j) + row.(j)
+      done
+    done;
+    id := (!id * d) + x.(i)
+  done;
+  !id
+
+let for_all_windows t cells f =
+  let cells = Array.of_list (List.map (fun c -> Vec.to_array (reduce t c)) cells) in
+  let r = Array.make t.dim 0 and x = Array.make t.dim 0 in
+  let ids = Array.make (Array.length cells) 0 in
+  let n = index t in
+  let rec go k =
+    k = n
+    ||
+    begin
+      for j = 0 to Array.length cells - 1 do
+        ids.(j) <- id_of_box_sum t r cells.(j) x
+      done;
+      (* Next window: the odometer steps as in [translate_ids]. *)
+      let i = ref (t.dim - 1) in
+      while !i >= 0 && r.(!i) = t.diag.(!i) - 1 do
+        r.(!i) <- 0;
+        decr i
+      done;
+      if !i >= 0 then r.(!i) <- r.(!i) + 1;
+      f ids && go (k + 1)
+    end
+  in
+  go 0
+
 let cosets t =
   (* Mixed-radix counting over the HNF box, lexicographic. *)
   let rec go i prefix =

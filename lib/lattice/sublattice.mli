@@ -65,6 +65,14 @@ val translate_ids : t -> Zgeom.Vec.t -> int array
     [\[0, index)].  Built on plain ints in one pass over the quotient,
     so a hot loop can translate cosets by [d] with one array read. *)
 
+val for_all_windows : t -> Zgeom.Vec.t list -> (int array -> bool) -> bool
+(** [for_all_windows t cells f] holds iff [f ids] holds for every coset
+    [k] in id order, where [ids.(j)] is the coset id of [coset_of_id t k]
+    plus the [j]-th cell; it stops at the first [false].  [ids] is one
+    array reused from call to call, and no table is built: the ids are
+    computed on plain ints in [O(index * |cells|)] steps and
+    [O(|cells|)] memory. *)
+
 val snf_divisors : t -> int list
 (** Invariant factors [d1 | d2 | ...] of [Z^d / Lambda]
     (Smith normal form diagonal). *)

@@ -566,6 +566,11 @@ let run_core ~quota =
           (Staged.stage
              (let cert = Core.Certificate.build cheb1_tiling in
               fun () -> Core.Certificate.check cert));
+        Test.make ~name:"certificate-check-bar2000"
+          (Staged.stage
+             (let bar = Prototile.of_cells (List.init 2_000 (fun i -> Zgeom.Vec.make2 i 0)) in
+              let cert = Core.Certificate.build (Option.get (Tiling.Search.find_tiling bar)) in
+              fun () -> Core.Certificate.check cert));
         Test.make ~name:"dsatur-8x8" (Staged.stage (fun () -> Coloring.Dsatur.color g8));
         Test.make ~name:"sim-100-slots-10x10" (Staged.stage (fun () -> Netsim.Sim.run sim_cfg));
       ]
@@ -585,13 +590,14 @@ let suites =
       doc =
         "Core machinery, one workload per hot subsystem, including the three torus \
          exact-cover engines on the EXP-P2 workload, every torus stage of a non-exact \
-         polyomino, and the two per-request kernels of a warm daemon (canonicalization and \
-         CRC-32)";
+         polyomino, the two per-request kernels of a warm daemon (canonicalization and \
+         CRC-32), and the certificate re-proof of a 1 x 2000 bar";
       required =
         ns
           [ "torus-all-backtracking"; "torus-all-dlx"; "torus-all-bitmask";
             "torus-mat-backtracking"; "torus-mat-dlx"; "torus-mat-bitmask";
-            "torus-stages-nonexact-poly12"; "symmetry-canonicalize-poly12"; "crc32-frame-256" ];
+            "torus-stages-nonexact-poly12"; "symmetry-canonicalize-poly12"; "crc32-frame-256";
+            "certificate-check-bar2000" ];
       gates = [];
       run = run_core };
     { name = "skew";

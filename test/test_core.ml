@@ -433,6 +433,20 @@ let test_certificate_roundtrip () =
     | Ok () -> ()
     | Error f -> Alcotest.failf "roundtripped certificate invalid: %a" Core.Certificate.pp_failure f)
 
+(* A certificate whose schedule lives in another dimension than its
+   prototile is judged exactly as the scan judges it.  With one cell the
+   scan has no difference to try and accepts; the Theorem-1 test must
+   step aside rather than reduce a 2-D cell modulo a 1-D period. *)
+let test_certificate_dimension_mismatch () =
+  let cert =
+    { Core.Certificate.prototile = Prototile.of_cells [ Vec.make2 0 0 ];
+      schedule = Core.Schedule.of_table ~period:(Sublattice.full 1) ~num_slots:1 [| 0 |];
+      clique = [ Vec.make2 0 0 ] }
+  in
+  Alcotest.(check bool) "same verdict as the set-based reference" true
+    (Core.Certificate.check cert = Oracle.Reference.check cert);
+  Alcotest.(check bool) "accepted, as by the scan" true (Core.Certificate.check cert = Ok ())
+
 (* --- Differential check of the periodic collision checker --- *)
 
 let naive_window_violations prototile schedule ~radius =
@@ -558,7 +572,11 @@ let test_codec_csv () =
    certificate can lie.  Swapping two cosets' slots of a lattice tiling
    only renames slots (each slot holds one coset), so [Copy_slot] also
    gives one coset another's slot; [Foreign] keeps the slot count but
-   reads the slot table over another tiling's period. *)
+   reads the slot table over another tiling's period.  [Reflect_clique]
+   replaces the clique [N] by [s - N]: still a clique, but not a
+   translate of [N] (unless [N] is centrally symmetric, and even then
+   listed in another order), so the re-proof takes its exact scan rather
+   than its Theorem-1 acceptance test. *)
 type mutant =
   | Honest
   | Drop_member
@@ -566,6 +584,7 @@ type mutant =
   | Swap_slots of int * int
   | Copy_slot of int * int
   | Foreign of int
+  | Reflect_clique of Vec.t
 
 let pp_mutant = function
   | Honest -> "honest"
@@ -574,6 +593,7 @@ let pp_mutant = function
   | Swap_slots (i, j) -> Printf.sprintf "swap the slots of cosets %d and %d" i j
   | Copy_slot (i, j) -> Printf.sprintf "coset %d takes the slot of coset %d" i j
   | Foreign seed -> Printf.sprintf "slot table over the period of tile seed %d" seed
+  | Reflect_clique s -> Printf.sprintf "clique %s - N" (Vec.to_string s)
 
 let random_tile ~sparse ~cells seed =
   let rng = Prng.Xoshiro.create (Int64.of_int seed) in
@@ -605,13 +625,15 @@ let mutate (cert : Core.Certificate.t) mutant =
       let period = Core.Schedule.period s in
       let table = Array.init (Sublattice.index period) (fun k -> Core.Schedule.slot_of_id s k mod m) in
       { cert with schedule = Core.Schedule.of_table ~period ~num_slots:m table })
+  | Reflect_clique s -> { cert with clique = List.map (Vec.sub s) cert.clique }
 
 let kernel_agrees (cert : Core.Certificate.t) =
   let n = cert.prototile in
   let diff_bound = Prototile.difference_set n in
+  let reference = Oracle.Reference.violations ~neighborhoods:(fun _ -> n) ~diff_bound cert.schedule in
   Core.Certificate.check cert = Oracle.Reference.check cert
-  && Core.Collision.violations ~neighborhoods:(fun _ -> n) ~diff_bound cert.schedule
-     = Oracle.Reference.violations ~neighborhoods:(fun _ -> n) ~diff_bound cert.schedule
+  && Core.Collision.violations ~neighborhoods:(fun _ -> n) ~diff_bound cert.schedule = reference
+  && Core.Collision.is_collision_free_homogeneous n cert.schedule = (reference = [])
 
 let qcheck_reproof_matches_reference =
   let gen =
@@ -625,11 +647,12 @@ let qcheck_reproof_matches_reference =
           (2, map2 (fun i d -> Push_apart (i, d)) small_nat vec);
           (1, map2 (fun i j -> Swap_slots (i, j)) small_nat small_nat);
           (1, map2 (fun i j -> Copy_slot (i, j)) small_nat small_nat);
-          (2, map (fun s -> Foreign s) (int_bound 1_000_000)) ]
+          (2, map (fun s -> Foreign s) (int_bound 1_000_000));
+          (1, map (fun s -> Reflect_clique s) vec) ]
       >|= fun mutant -> (random_tile ~sparse ~cells seed, mutant))
   in
   let print (p, mutant) = Prototile.to_string p ^ "\n" ^ pp_mutant mutant in
-  QCheck.Test.make ~name:"re-proof = set-based reference on certificates and mutants" ~count:300
+  QCheck.Test.make ~name:"re-proof = set-based reference on certificates and mutants" ~count:1000
     (QCheck.make ~print gen) (fun (p, mutant) ->
       match Tiling.Search.find_tiling p with
       | None -> QCheck.assume_fail ()
@@ -753,20 +776,20 @@ let qcheck_conflict_adj_symmetric =
         adj;
       !ok)
 
+let random_schedule_gen =
+  QCheck.Gen.(
+    int_range 1 6 >>= fun a ->
+    int_range 1 6 >>= fun d ->
+    int_range 0 5 >>= fun b ->
+    int_range 1 8 >>= fun m ->
+    int_bound 1_000_000 >|= fun seed ->
+    let period = Sublattice.of_basis [| [| a; b |]; [| 0; d |] |] in
+    let rng = Prng.Xoshiro.create (Int64.of_int seed) in
+    let table = Array.init (Sublattice.index period) (fun _ -> Prng.Xoshiro.int rng m) in
+    Core.Schedule.of_table ~period ~num_slots:m table)
+
 let qcheck_codec_random_schedules =
-  let gen =
-    QCheck.Gen.(
-      int_range 1 6 >>= fun a ->
-      int_range 1 6 >>= fun d ->
-      int_range 0 5 >>= fun b ->
-      int_range 1 8 >>= fun m ->
-      int_bound 1_000_000 >|= fun seed ->
-      let period = Sublattice.of_basis [| [| a; b |]; [| 0; d |] |] in
-      let rng = Prng.Xoshiro.create (Int64.of_int seed) in
-      let table = Array.init (Sublattice.index period) (fun _ -> Prng.Xoshiro.int rng m) in
-      Core.Schedule.of_table ~period ~num_slots:m table)
-  in
-  let arb = QCheck.make gen in
+  let arb = QCheck.make random_schedule_gen in
   QCheck.Test.make ~name:"codec roundtrips arbitrary periodic schedules" ~count:120 arb
     (fun sched ->
       match Core.Codec.schedule_of_string (Core.Codec.schedule_to_string sched) with
@@ -776,6 +799,23 @@ let qcheck_codec_random_schedules =
         && List.for_all
              (fun c -> Core.Schedule.slot_at sched c = Core.Schedule.slot_at sched' c)
              (Sublattice.cosets (Core.Schedule.period sched)))
+
+(* The stored table lists the slots of [Sublattice.cosets] in order,
+   the layout the codec has always written; it is now read and written
+   in coset-id order, which is the same order. *)
+let qcheck_codec_table_in_coset_order =
+  QCheck.Test.make ~name:"schedule table is in Sublattice.cosets order" ~count:120
+    (QCheck.make random_schedule_gen) (fun sched ->
+      let expected =
+        List.map
+          (fun c -> string_of_int (Core.Schedule.slot_at sched c))
+          (Sublattice.cosets (Core.Schedule.period sched))
+      in
+      match
+        Core.Codec.decode_record ~kind:"schedule" (Core.Codec.schedule_to_string sched)
+      with
+      | Ok kvs -> List.assoc_opt "table" kvs = Some (String.concat "," expected)
+      | Error _ -> false)
 
 let qcheck_theorem1_random_polyominoes =
   let gen =
@@ -885,6 +925,8 @@ let () =
           qc qcheck_certificate_random_exact_polyominoes;
           qc qcheck_reproof_matches_reference;
           qc qcheck_multi_matches_reference;
+          Alcotest.test_case "schedule in another dimension" `Quick
+            test_certificate_dimension_mismatch;
         ] );
       ( "differential",
         [ Alcotest.test_case "periodic = naive window" `Slow test_collision_checker_differential ] );
@@ -899,6 +941,7 @@ let () =
           qc qcheck_conflict_adj_symmetric;
           qc qcheck_codec_random_schedules;
           qc qcheck_codec_mutation_total;
+          qc qcheck_codec_table_in_coset_order;
         ] );
       ( "mobile",
         [

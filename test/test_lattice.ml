@@ -625,20 +625,70 @@ let qcheck_translate_ids =
    [k] of a stage is the [k]-th element of [cosets], and its cells are
    read from [translate_ids] tables at index [k], so the two must agree.
    Bases are random non-singular matrices, not HNF enumerations. *)
+let random_basis_gen =
+  QCheck.Gen.(
+    int_range 1 3 >>= fun dim ->
+    list_repeat (dim * dim) (int_range (-4) 4) >|= fun entries ->
+    let b = Array.init dim (fun i -> Array.init dim (fun j -> List.nth entries ((i * dim) + j))) in
+    if Zgeom.Zmat.det b = 0 then Sublattice.scaled dim 2 else Sublattice.of_basis b)
+
 let qcheck_cosets_in_id_order =
-  let gen =
-    QCheck.Gen.(
-      int_range 1 3 >>= fun dim ->
-      list_repeat (dim * dim) (int_range (-4) 4) >|= fun entries ->
-      let b = Array.init dim (fun i -> Array.init dim (fun j -> List.nth entries ((i * dim) + j))) in
-      if Zgeom.Zmat.det b = 0 then Sublattice.scaled dim 2 else Sublattice.of_basis b)
-  in
   QCheck.Test.make ~name:"k-th coset has coset_id k" ~count:300
-    (QCheck.make ~print:Sublattice.to_string gen) (fun lam ->
+    (QCheck.make ~print:Sublattice.to_string random_basis_gen) (fun lam ->
       let reps = Sublattice.cosets lam in
       List.length reps = Sublattice.index lam
       && List.for_all2 (fun k c -> Sublattice.coset_id lam c = k)
            (List.init (Sublattice.index lam) Fun.id) reps)
+
+(* The window walk of the certificate re-proof against the vector
+   route: window [k] holds the ids of [coset_of_id k + c] for the cells
+   [c] in order, windows come in id order, and the walk stops at the
+   first window the predicate refuses. *)
+let qcheck_for_all_windows =
+  let gen =
+    QCheck.Gen.(
+      random_basis_gen >>= fun lam ->
+      let cell = list_repeat (Sublattice.dim lam) (int_range (-30) 30) >|= Vec.of_list in
+      pair (list_size (int_range 1 6) cell) (int_bound (Sublattice.index lam)) >|= fun (cells, stop) ->
+      (lam, cells, stop))
+  in
+  let print (lam, cells, stop) =
+    Printf.sprintf "%s cells=%s stop=%d" (Sublattice.to_string lam)
+      (String.concat ";" (List.map Vec.to_string cells)) stop
+  in
+  QCheck.Test.make ~name:"for_all_windows = coset_id of each window's cells" ~count:400
+    (QCheck.make ~print gen) (fun (lam, cells, stop) ->
+      let seen = ref [] in
+      let all =
+        Sublattice.for_all_windows lam cells (fun ids ->
+            seen := Array.copy ids :: !seen;
+            List.length !seen <> stop + 1)
+      in
+      let windows = List.length !seen in
+      let expected k =
+        Array.of_list
+          (List.map (fun c -> Sublattice.coset_id lam (Vec.add (Sublattice.coset_of_id lam k) c)) cells)
+      in
+      all = (stop = Sublattice.index lam)
+      && windows = min (stop + 1) (Sublattice.index lam)
+      && List.for_all2 (fun k ids -> ids = expected k) (List.init windows Fun.id) (List.rev !seen))
+
+(* [Randomtile.sparse] draws distinct points from its box, so it can fill
+   the box but not more: the bound itself returns a tile, one more cell
+   is refused instead of looping forever. *)
+let test_sparse_box_bound () =
+  let rng = Prng.Xoshiro.create 5L in
+  List.iter
+    (fun spread ->
+      let side = (2 * spread) + 1 in
+      let p = Randomtile.sparse rng ~cells:(side * side) ~spread in
+      Alcotest.(check int) "the whole box" (side * side) (Prototile.size p);
+      Alcotest.check_raises "one cell more is refused"
+        (Invalid_argument
+           (Printf.sprintf "Randomtile.sparse: %d cells do not fit in a %d x %d box"
+              ((side * side) + 1) side side))
+        (fun () -> ignore (Randomtile.sparse rng ~cells:((side * side) + 1) ~spread)))
+    [ 0; 1; 2 ]
 
 let qc = QCheck_alcotest.to_alcotest
 
@@ -659,6 +709,7 @@ let () =
           qc qcheck_coset_id_consistent;
           qc qcheck_translate_ids;
           qc qcheck_cosets_in_id_order;
+          qc qcheck_for_all_windows;
         ] );
       ( "prototile",
         [
@@ -673,6 +724,7 @@ let () =
           Alcotest.test_case "of_ascii rejects" `Quick test_of_ascii_rejects;
           Alcotest.test_case "of_name" `Quick test_of_name;
           Alcotest.test_case "bounding box" `Quick test_bounding_box;
+          Alcotest.test_case "sparse fills its box, refuses more" `Quick test_sparse_box_bound;
         ] );
       ( "symmetry",
         [

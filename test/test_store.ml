@@ -186,6 +186,10 @@ let test_put_validation () =
       (match Store.put store "0,0;9,9" (found_entry canon) with
       | () -> Alcotest.fail "expected Invalid_argument for a mismatched key"
       | exception Invalid_argument _ -> ());
+      (* Nor by its own cell key when it is not canonical. *)
+      (match Store.put store (Layout.key_of_cells rotated) (found_entry rotated) with
+      | () -> Alcotest.fail "expected Invalid_argument for a non-canonical key"
+      | exception Invalid_argument _ -> ());
       Alcotest.(check int) "nothing stored" 0 (Store.length store);
       Store.close store)
 
@@ -614,6 +618,34 @@ let test_lru_keys_in_store () =
       Alcotest.(check int) "no store attached, nothing written" 0 (Store.length store);
       Store.close store)
 
+(* A long bar through the engine and the store: searched, written
+   through, and after a restart served from the store, whose open
+   re-proves the record.  At 2,000 cells the bar's certificate spans
+   4,000 differences over a 2,000-coset period, so the re-proof must
+   stay linear in each of them to keep this test quick. *)
+let test_long_bar_served_from_store () =
+  let bar = Prototile.of_cells (List.init 2_000 (fun i -> v2 i 0)) in
+  with_temp_store (fun path ->
+      let store = Store.open_ path in
+      (match Engine.handle (Engine.create ~store ()) (Protocol.Tile_search bar) with
+      | Protocol.Tiling_r { source = Some Protocol.Fresh; _ } -> ()
+      | _ -> Alcotest.fail "first contact must be a fresh search");
+      Store.close store;
+      let store = Store.open_ path in
+      let r = Store.recovery store in
+      Alcotest.(check int) "the bar's record is replayed" 1 r.Store.records;
+      Alcotest.(check int) "and proved" 0 r.Store.dropped;
+      let e = Engine.create ~store () in
+      (match Engine.handle e (Protocol.Tile_search bar) with
+      | Protocol.Tiling_r { tiling; certificate; source = Some Protocol.Store } ->
+        Alcotest.(check int) "a tiling by the bar" 2_000
+          (Prototile.size (Tiling.Single.prototile tiling));
+        Alcotest.(check bool) "served certificate checks" true
+          (Core.Certificate.check certificate = Ok ())
+      | _ -> Alcotest.fail "after restart the store answers");
+      Alcotest.(check int) "no search after restart" 0 (Engine.stats e).Protocol.searches;
+      Store.close store)
+
 let () =
   Alcotest.run "store"
     [
@@ -664,5 +696,7 @@ let () =
             test_lru_keys_in_store;
           Alcotest.test_case "the store file is a Layout segment" `Quick
             test_store_file_is_segment;
+          Alcotest.test_case "a 1 x 2000 bar is served from the store" `Quick
+            test_long_bar_served_from_store;
         ] );
     ]
