@@ -3,12 +3,11 @@ open Lattice
 
 type t = { prototile : Prototile.t; schedule : Schedule.t; clique : Vec.t list }
 
-let build tiling =
-  {
-    prototile = Tiling.Single.prototile tiling;
-    schedule = Schedule.of_tiling tiling;
-    clique = Prototile.cells (Tiling.Single.prototile tiling);
-  }
+let of_schedule tiling schedule =
+  let prototile = Tiling.Single.prototile tiling in
+  { prototile; schedule; clique = Prototile.cells prototile }
+
+let build tiling = of_schedule tiling (Schedule.of_tiling tiling)
 
 type failure =
   | Wrong_clique_size of int * int
@@ -94,35 +93,3 @@ let to_string cert =
                   (match cert.clique with
                   | [] -> Vec.zero (Prototile.dim cert.prototile)
                   | c :: _ -> c))) ]
-
-let of_string s =
-  match String.split_on_char '\n' (String.trim s) with
-  | [ proto_line; sched_line; clique_line ] -> (
-    let ( let* ) = Result.bind in
-    let* prototile = Codec.prototile_of_string proto_line in
-    let* schedule = Codec.schedule_of_string sched_line in
-    (* Split off the shift suffix. *)
-    match String.rindex_opt clique_line '|' with
-    | None -> Error "missing clique shift"
-    | Some i ->
-      let base = String.sub clique_line 0 i in
-      let shift_part = String.sub clique_line (i + 1) (String.length clique_line - i - 1) in
-      let* clique_proto = Codec.prototile_of_string base in
-      (match String.index_opt shift_part '=' with
-      | Some j when String.sub shift_part 0 j = "shift" -> (
-        let coords = String.sub shift_part (j + 1) (String.length shift_part - j - 1) in
-        match List.map int_of_string (String.split_on_char ',' coords) with
-        | shift_coords ->
-          let shift = Vec.of_list shift_coords in
-          if Vec.dim shift <> Prototile.dim clique_proto then
-            Error "clique shift dimension mismatch"
-          else
-            Ok
-              {
-                prototile;
-                schedule;
-                clique = List.map (fun v -> Vec.add v shift) (Prototile.cells clique_proto);
-              }
-        | exception Failure _ -> Error "bad shift")
-      | _ -> Error "malformed shift field"))
-  | _ -> Error "certificate must have three lines"

@@ -2,18 +2,16 @@ open Lattice
 
 (* The campaign driver: stream the free-polyomino bands, decide each
    tile with [Tiling.Search.decide] (holes and the Beauquier-Nivat test
-   refute, an exact tile gets its lattice tiling and a certificate),
-   append the verdicts to sharded segments, and checkpoint after every
-   band so a killed campaign resumes exactly where the last fsync left
-   it. *)
+   refute, an exact tile gets its lattice tiling), append the verdicts
+   to sharded segments, and checkpoint after every band so a killed
+   campaign resumes exactly where the last fsync left it. *)
 
 (* The record for one enumerated tile.  Enumerated tiles are connected
    2-D polyominoes, which [decide] always settles. *)
 let record_of_tile tile =
   match Tiling.Search.decide tile with
   | Tiling.Search.Non_exact _ -> (Layout.tag_non_exact, "")
-  | Tiling.Search.Exact tiling ->
-    (Layout.tag_exact, Layout.encode_payload tiling (Core.Certificate.build tiling))
+  | Tiling.Search.Exact tiling -> (Layout.tag_exact, Layout.encode_payload tiling)
   | Tiling.Search.Not_found ->
     invalid_arg ("Corpus.Campaign: undecided polyomino " ^ Layout.key_of_cells tile)
 

@@ -6,8 +6,9 @@
     {!Tiling.Search.decide}: a hole or a missing Beauquier-Nivat
     factorization is a {e complete} refutation for polyominoes, so the
     exact-cover machinery never runs on a non-exact tile, and an exact
-    tile gets its lattice tiling (Wijshoff-van Leeuwen) and a
-    certificate - the same tiling a fresh search in the daemon finds.
+    tile gets its lattice tiling (Wijshoff-van Leeuwen) - the same
+    tiling a fresh search in the daemon finds, stored without a
+    certificate, which readers derive from it.
     Verdict computation fans out over the {!Parallel} pool
     (deterministically - results are assembled in band order at every
     [-j]).

@@ -7,10 +7,10 @@
 
 open Lattice
 
-let seg_magic = "TCORPS2\n"
+let seg_magic = "TCORPS3\n"
 let idx_magic = "TCORPI1\n"
 let magic_len = 8
-let version = 2
+let version = 3
 
 let header_size = 14 (* crc32 | tag | band | key len (u32) | payload len (u32) *)
 let idx_entry_size = 16 (* key hash (u64) | segment record offset (u64) *)
@@ -50,24 +50,16 @@ let shard_of_key ~shards key = hash_key key mod shards
 
 (* ---------- exact payload: codec and proof ---------- *)
 
-let encode_payload tiling certificate =
-  Core.Codec.tiling_to_string tiling ^ "\n" ^ Core.Certificate.to_string certificate
+(* An exact payload is the tiling line alone: Theorem 1 makes the
+   certificate a function of the tiling, so readers derive it with
+   [Certificate.build] instead of trusting a stored copy. *)
+let encode_payload tiling = Core.Codec.tiling_to_string tiling
 
-(* The tiling is revalidated by [Codec.tiling_of_string], which goes
-   through [Single.make]; the certificate is only parsed. *)
+(* [Codec.tiling_of_string] revalidates through [Single.make]; a second
+   line (an older payload's certificate, or anything else) is refused. *)
 let decode_payload payload =
-  let ( let* ) = Result.bind in
-  match String.split_on_char '\n' payload with
-  | tiling_line :: (_ :: _ :: _ :: [] as cert_lines) ->
-    let* tiling =
-      Result.map_error (( ^ ) "bad tiling: ") (Core.Codec.tiling_of_string tiling_line)
-    in
-    let* certificate =
-      Result.map_error (( ^ ) "bad certificate: ")
-        (Core.Certificate.of_string (String.concat "\n" cert_lines))
-    in
-    Ok (tiling, certificate)
-  | _ -> Error "malformed exact payload"
+  if String.contains payload '\n' then Error "malformed exact payload: more than one line"
+  else Result.map_error (( ^ ) "bad tiling: ") (Core.Codec.tiling_of_string payload)
 
 (* The keying rule: an exact record is keyed by the canonical key of its
    tiling's prototile, which also forces the stored orientation to be
@@ -75,19 +67,17 @@ let decode_payload payload =
    the tile as stored equals the key of its canonical form exactly when
    the tile is its own canonical form, so one key string and one
    canonicalization decide it. *)
-let check_key ~key tiling (certificate : Core.Certificate.t) =
+let check_key ~key tiling =
   let proto = Tiling.Single.prototile tiling in
-  if not (Prototile.equal proto certificate.prototile) then
-    Error "certificate prototile differs from tiling prototile"
-  else if key_of_cells proto <> key || not (Prototile.equal (Symmetry.canonical proto) proto)
-  then Error "key is not the canonical key of the tiling"
+  if key_of_cells proto <> key || not (Prototile.equal (Symmetry.canonical proto) proto) then
+    Error "key is not the canonical key of the tiling"
   else Ok ()
 
-let prove ~key tiling certificate =
-  Result.bind (check_key ~key tiling certificate) (fun () ->
+let prove ~key tiling =
+  Result.bind (check_key ~key tiling) (fun () ->
       Result.map_error
         (Format.asprintf "certificate rejected: %a" Core.Certificate.pp_failure)
-        (Core.Certificate.check certificate))
+        (Core.Certificate.check (Core.Certificate.build tiling)))
 
 (* ---------- record codec ---------- *)
 

@@ -24,17 +24,18 @@
     where [key] is the canonical cell-list key ({!key_of_prototile}) and
 
     {v
-    tag  verdict                                   payload          written by
-    0    non-exact: refuted (hole or BN test)      empty            campaign
-    1    exact                                     tiling + cert    campaign, store
-    2    not found: the bounded search exhausted   empty            store
+    tag  verdict                                     payload      written by
+    0    non-exact: refuted (hole or BN test)        empty        campaign
+    1    exact                                       tiling line  campaign, store
+    2    not found: a bounded search found nothing   empty        store
     v}
 
     An exact payload ({!encode_payload}) is the tiling line
-    ({!Core.Codec.tiling_to_string}) followed by the three certificate
-    lines ({!Core.Certificate.to_string}).  [band] is the tile's area in
-    a corpus (1..255) and 0 in a store, whose records come from requests
-    rather than a band of the campaign.  Tag 2 is not a proof: it says a
+    ({!Core.Codec.tiling_to_string}) alone: Theorem 1 makes the
+    certificate a function of the tiling, so readers derive it with
+    {!Core.Certificate.build}.  [band] is the tile's area in a corpus
+    (1..255) and 0 in a store, whose records come from requests rather
+    than a band of the campaign.  Tag 2 is not a proof: it says a
     bounded search found nothing, so a sealed corpus never holds it and
     {!Snapshot.verify} rejects it, as it rejects band 0.
 
@@ -82,21 +83,22 @@ val hash_key : string -> int
 val shard_of_key : shards:int -> string -> int
 (** [hash_key key mod shards]. *)
 
-val encode_payload : Tiling.Single.t -> Core.Certificate.t -> string
+val encode_payload : Tiling.Single.t -> string
 (** The payload of an exact record. *)
 
-val decode_payload : string -> (Tiling.Single.t * Core.Certificate.t, string) result
-(** Parse an exact payload: the tiling is revalidated through
-    [Single.make], the certificate is parsed but not checked. *)
+val decode_payload : string -> (Tiling.Single.t, string) result
+(** Parse an exact payload: one line, revalidated through
+    [Single.make].  More than one line is an [Error]. *)
 
-val check_key : key:string -> Tiling.Single.t -> Core.Certificate.t -> (unit, string) result
-(** The keying rule of an exact record: the certificate is about the
-    tiling's prototile, that prototile is canonical, and [key] is its
-    key. *)
+val check_key : key:string -> Tiling.Single.t -> (unit, string) result
+(** The keying rule of an exact record: the tiling's prototile is
+    canonical and [key] is its key. *)
 
-val prove : key:string -> Tiling.Single.t -> Core.Certificate.t -> (unit, string) result
-(** {!check_key}, then {!Core.Certificate.check}: what every reader runs
-    before it believes an exact record read from disk. *)
+val prove : key:string -> Tiling.Single.t -> (unit, string) result
+(** {!check_key}, then {!Core.Certificate.check} of
+    {!Core.Certificate.build}: what every reader runs before it believes
+    an exact record read from disk.  The trust anchor is the tiling that
+    {!decode_payload} validated, never a stored certificate. *)
 
 val put_u64 : Bytes.t -> int -> int -> unit
 (** Little-endian u64 store (values are non-negative ints). *)

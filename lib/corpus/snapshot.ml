@@ -131,21 +131,19 @@ let payload t hit =
   sub_string t.shards.(hit.shard).seg pos len
 
 (* The zero-deserialization slice: the '|'-separated field fragment of
-   the stored tiling line (everything after the record header), ready to
-   splice verbatim into a [tile-search] response line.  One memchr-style
-   scan for the line break and one blit; no parsing, no validation -
-   the bytes were validated when the campaign wrote them (and again by
-   [verify], if run). *)
+   the stored tiling line (the payload after its record header), ready
+   to splice verbatim into a [tile-search] response line.  The payload
+   is that one line, so this is a scan for the first separator and no
+   parsing, no validation - the bytes were validated when the campaign
+   wrote them (and again by [verify], if run). *)
 let tiling_raw t hit =
   let sh = t.shards.(hit.shard) in
   let pos, len = payload_bounds t hit in
-  let rec line_end i = if i = len || Bigarray.Array1.get sh.seg (pos + i) = '\n' then i else line_end (i + 1) in
-  let stop = line_end 0 in
   let rec first_sep i =
-    if i = stop then stop else if Bigarray.Array1.get sh.seg (pos + i) = '|' then i + 1 else first_sep (i + 1)
+    if i = len then len else if Bigarray.Array1.get sh.seg (pos + i) = '|' then i + 1 else first_sep (i + 1)
   in
   let start = first_sep 0 in
-  (sh.seg, pos + start, stop - start)
+  (sh.seg, pos + start, len - start)
 
 let tiling_fields t hit =
   let seg, pos, len = tiling_raw t hit in
@@ -156,7 +154,10 @@ let tiling_fields t hit =
 let entry t hit =
   match verdict t hit with
   | `Non_exact -> Ok None
-  | `Exact -> Result.map Option.some (Layout.decode_payload (payload t hit))
+  | `Exact ->
+    Result.map
+      (fun tiling -> Some (tiling, Core.Certificate.build tiling))
+      (Layout.decode_payload (payload t hit))
 
 (* ---------- verify ---------- *)
 
@@ -202,10 +203,7 @@ let verify ~dir:d =
                   if payload <> "" then fail "%s: non-exact record at byte %d has a payload" name off
                 | tag when tag = Layout.tag_exact -> (
                   incr exact;
-                  match
-                    Result.bind (Layout.decode_payload payload) (fun (tiling, certificate) ->
-                        Layout.prove ~key tiling certificate)
-                  with
+                  match Result.bind (Layout.decode_payload payload) (Layout.prove ~key) with
                   | Ok () -> ()
                   | Error e -> fail "%s: exact record at byte %d: %s" name off e)
                 | tag ->

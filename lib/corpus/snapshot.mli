@@ -19,7 +19,8 @@
     Trust model: the snapshot believes the sealed corpus (the campaign
     validated everything it wrote, and [verify] re-proves the whole
     corpus offline); readers that need a checked artifact go through
-    {!entry}, whose codec revalidates the tiling via [Single.make]. *)
+    {!entry}, whose codec revalidates the tiling via [Single.make]: the
+    trust anchor is that tiling, from which certificates are derived. *)
 
 type t
 
@@ -66,7 +67,9 @@ val payload : t -> hit -> string
 
 val entry : t -> hit -> ((Tiling.Single.t * Core.Certificate.t) option, string) result
 (** Validating decode: [None] for a non-exact verdict, the revalidated
-    tiling and parsed certificate for an exact one. *)
+    tiling and [Certificate.build] of it for an exact one.  The derived
+    certificate stays in the result only because the daemon benchmark
+    matches this shape; removing it waits for a change to it. *)
 
 type verify_report = {
   records : int;
@@ -80,6 +83,6 @@ val verify : dir:string -> (verify_report, string) result
     and framing, every record a campaign verdict (band 1..255, tag 0 or
     1: a store's band-0 or tag-2 record is rejected), every key
     reachable through its shard's index (and only its own entry), every
-    exact record proved with {!Layout.prove}, every index entry backed
-    by a record, and the manifest's per-band counts in agreement with
-    the records. *)
+    exact payload one valid tiling line proved with {!Layout.prove},
+    every index entry backed by a record, and the manifest's per-band
+    counts in agreement with the records. *)

@@ -2,14 +2,11 @@ open Zgeom
 open Lattice
 
 (* What the cache remembers per canonical tile: either a tiling (with the
-   schedule and certificate it induces, all for the canonical
-   orientation) or a proof of exhaustion. *)
+   schedule it induces, both for the canonical orientation; a reply that
+   carries a certificate builds it from the pair) or the verdict that a
+   bounded search found nothing. *)
 type entry =
-  | Found of {
-      tiling : Tiling.Single.t;
-      schedule : Core.Schedule.t;
-      certificate : Core.Certificate.t;
-    }
+  | Found of { tiling : Tiling.Single.t; schedule : Core.Schedule.t }
   | Absent
 
 type t = {
@@ -55,17 +52,17 @@ let stats t : Protocol.server_stats =
     cache_evictions; cache_entries = Cache.length t.cache; store_hits = t.store_hits;
     corpus_hits = t.corpus_hits }
 
-(* The store speaks in durable artifacts (tiling + certificate); the
-   memory tier additionally holds the derived schedule.  Rebuilding it
-   on promotion is cheap next to the search both tiers amortize. *)
+(* The store keeps the tiling and derives its certificate on [find]; the
+   memory tier keeps that certificate's schedule.  [Store.put] stores
+   the tiling alone, so the certificate handed to it costs no schedule. *)
 let entry_of_stored : Store.entry -> entry = function
   | Store.No_tiling -> Absent
-  | Store.Found { tiling; certificate } ->
-    Found { tiling; schedule = Core.Schedule.of_tiling tiling; certificate }
+  | Store.Found { tiling; certificate } -> Found { tiling; schedule = certificate.schedule }
 
 let stored_of_entry : entry -> Store.entry = function
   | Absent -> Store.No_tiling
-  | Found { tiling; certificate; _ } -> Store.Found { tiling; certificate }
+  | Found { tiling; schedule } ->
+    Store.Found { tiling; certificate = Core.Certificate.of_schedule tiling schedule }
 
 (* [Tiling.Search.find_tiling] with the wall clock checked before every
    stage: a single stage can overshoot, so the bound is per-stage
@@ -80,11 +77,7 @@ let first_hit t tile =
     | Seq.Cons (stage, rest) -> (
       match stage () with
       | None -> first rest
-      | Some tiling ->
-        Some
-          (Found
-             { tiling; schedule = Core.Schedule.of_tiling tiling;
-               certificate = Core.Certificate.build tiling }))
+      | Some tiling -> Some (Found { tiling; schedule = Core.Schedule.of_tiling tiling }))
   in
   first (Tiling.Search.stages tile)
 
@@ -126,24 +119,19 @@ type resolution =
 let answer t (req : Protocol.request) ~tile ~g ~source entry : Protocol.response =
   match entry with
   | Absent -> No_tiling source
-  | Found { tiling; schedule; certificate } -> (
+  | Found { tiling; schedule } -> (
     let oriented =
-      if Prototile.equal tile (Tiling.Single.prototile tiling) then
-        Ok (tiling, lazy schedule, lazy certificate)
+      if Prototile.equal tile (Tiling.Single.prototile tiling) then Ok (tiling, lazy schedule)
       else
         match transport ~tile ~g tiling with
-        | Ok tl ->
-          Ok
-            ( tl,
-              lazy (Core.Schedule.of_tiling tl),
-              lazy (Core.Certificate.build tl) )
+        | Ok tl -> Ok (tl, lazy (Core.Schedule.of_tiling tl))
         | Error msg -> Error ("internal: transported tiling invalid: " ^ msg)
     in
     match oriented with
     | Error msg ->
       t.errors <- t.errors + 1;
       Error_r msg
-    | Ok (tl, sched, cert) -> (
+    | Ok (tl, sched) -> (
       match req with
       | Slot { pos; _ } ->
         if Vec.dim pos <> Prototile.dim tile then begin
@@ -156,7 +144,9 @@ let answer t (req : Protocol.request) ~tile ~g ~source entry : Protocol.response
             { slot = Core.Schedule.slot_at sched pos;
               num_slots = Core.Schedule.num_slots sched; source }
       | Schedule _ -> Schedule_r { schedule = Lazy.force sched; source }
-      | Tile_search _ -> Tiling_r { tiling = tl; certificate = Lazy.force cert; source }
+      | Tile_search _ ->
+        Tiling_r
+          { tiling = tl; certificate = Core.Certificate.of_schedule tl (Lazy.force sched); source }
       | Stats | Shutdown -> assert false))
 
 (* Answer straight from the mmap snapshot.  A [Tile_search] for the
@@ -180,8 +170,7 @@ let answer_corpus t (req : Protocol.request) ~tile ~canon ~g corpus hit : Protoc
     | _ -> (
       match Corpus.Snapshot.entry corpus hit with
       | Ok (Some (tiling, certificate)) ->
-        answer t req ~tile ~g ~source
-          (Found { tiling; schedule = Core.Schedule.of_tiling tiling; certificate })
+        answer t req ~tile ~g ~source (Found { tiling; schedule = certificate.schedule })
       | Ok None -> assert false (* verdict above was [`Exact] *)
       | Error msg ->
         t.errors <- t.errors + 1;

@@ -19,10 +19,11 @@
     - {b Persistence.}  With a [store] attached, the engine gains a
       second cache tier: a memory miss probes the persistent certificate
       store before searching (a hit is promoted into the LRU), and every
-      completed search - tiling or proven exhaustion - is written
-      through, so proven results survive restarts and a warmed store
-      answers without ever invoking {!Tiling.Search}.  Timeouts are not
-      persisted, like they are not cached.
+      completed search - a tiling, or a bounded search that found
+      nothing - is written through, so settled results survive restarts
+      and a warmed store answers without ever invoking
+      {!Tiling.Search}.  Timeouts are not persisted, like they are not
+      cached.
     - {b Precomputation.}  With a [corpus] attached (a sealed
       {!Corpus.Snapshot}), every tile request probes the mmap-backed
       verdict corpus {e before} the memory/store/search chain.  A hit

@@ -54,6 +54,9 @@ type response =
   | Tiling_r of {
       tiling : Tiling.Single.t;
       certificate : Core.Certificate.t;
+          (** Derived from [tiling]; neither codec sends it.  It stays
+              only because the daemon benchmark builds this constructor;
+              removing it waits for a change to it. *)
       source : source option;
     }
   | Tiling_raw_r of { tiling_fields : string; source : source option }

@@ -31,18 +31,17 @@ let record key payload =
 
 let payload_of_entry = function
   | No_tiling -> ""
-  | Found { tiling; certificate } -> Layout.encode_payload tiling certificate
+  | Found { tiling; certificate = _ } -> Layout.encode_payload tiling
 
 (* Nothing read from disk is trusted: a CRC-valid record is kept only if
-   it is a store record and, when exact, its payload parses and proves. *)
+   it is a store record and, when exact, its tiling line parses and
+   proves. *)
 let valid ~band ~tag ~key ~payload =
   band = 0
   && (if tag = Layout.tag_not_found then payload = ""
       else
         tag = Layout.tag_exact
-        && Result.is_ok
-             (Result.bind (Layout.decode_payload payload) (fun (tiling, certificate) ->
-                  Layout.prove ~key tiling certificate)))
+        && Result.is_ok (Result.bind (Layout.decode_payload payload) (Layout.prove ~key)))
 
 (* ---------- lifecycle ---------- *)
 
@@ -138,12 +137,12 @@ let mem t key = Hashtbl.mem t.table key
 let compactions t = t.compactions
 
 (* Every payload in the table was proved at [open_] or encoded by [put],
-   so it parses; the proof is not run again. *)
+   so it parses; the certificate is derived again, not checked again. *)
 let entry_of_payload = function
   | "" -> No_tiling
   | payload -> (
     match Layout.decode_payload payload with
-    | Ok (tiling, certificate) -> Found { tiling; certificate }
+    | Ok tiling -> Found { tiling; certificate = Core.Certificate.build tiling }
     | Error msg -> failwith ("Store: live payload does not parse: " ^ msg))
 
 let find t key = Option.map entry_of_payload (Hashtbl.find_opt t.table key)
@@ -157,10 +156,8 @@ let put t key entry =
   let oc = channel t "put" in
   (match entry with
   | No_tiling -> ()
-  | Found { tiling; certificate } ->
-    Result.iter_error
-      (fun msg -> invalid_arg ("Store.put: " ^ msg))
-      (Layout.check_key ~key tiling certificate));
+  | Found { tiling; _ } ->
+    Result.iter_error (fun msg -> invalid_arg ("Store.put: " ^ msg)) (Layout.check_key ~key tiling));
   let payload = payload_of_entry entry in
   output_string oc (record key payload);
   flush oc;

@@ -5,25 +5,24 @@
     every previously-settled query without re-paying the exponential
     tiling search.  It is a write-ahead log of records
 
-    {v canonical key -> Found (tiling + certificate) | No_tiling v}
+    {v canonical key -> Found (tiling) | No_tiling v}
 
     keyed by the tile's congruence class
     ({!Corpus.Layout.key_of_prototile}, the same key the server's LRU
-    and the corpus use), because both outcomes are cacheable
-    {e forever}: a tiling-derived schedule carries a machine-checkable
-    {!Core.Certificate}, and [No_tiling] records a completed exhaustion
-    of the bounded search.
+    and the corpus use).  Both outcomes are cacheable {e forever}: a
+    tiling's machine-checkable {!Core.Certificate} is derived from it,
+    and [No_tiling] records that a bounded search found nothing.
 
     {2 On-disk format}
 
     A store file is a {!Corpus.Layout} segment: the segment magic
     followed by verdict records, never sealed or indexed.  Every store
     record carries band 0.  A [Found] entry is a tag-1 (exact) record
-    whose payload is {!Corpus.Layout.encode_payload} of the tiling and
-    certificate, exactly as in a corpus; [No_tiling] is a tag-2 (not
-    found) record with an empty payload - an exhausted bounded search,
-    not the BN refutation that tag 0 means in a corpus.  Later records
-    supersede earlier ones with the same key (write-ahead semantics).
+    whose payload is {!Corpus.Layout.encode_payload} of the tiling,
+    exactly as in a corpus; [No_tiling] is a tag-2 (not found) record
+    with an empty payload - a bounded search found nothing, not the BN
+    refutation that tag 0 means in a corpus.  Later records supersede
+    earlier ones with the same key (write-ahead semantics).
 
     {2 Recovery invariant}
 
@@ -37,7 +36,8 @@
     record (band other than 0, tag 0, a non-empty tag-2 payload, or an
     exact payload that fails {!Corpus.Layout.decode_payload} or
     {!Corpus.Layout.prove}) is {e dropped and counted}, never served -
-    the store re-proves every certificate before believing the disk.
+    the trust anchor is the revalidated tiling, whose derived
+    certificate the store checks before believing the disk.
 
     An empty file, or a torn proper prefix of the magic, is repaired
     into an empty store.  Any other file whose first bytes are not the
@@ -45,12 +45,12 @@
     and left byte-for-byte unchanged.
 
     After recovery the live set is held in memory as each live record's
-    payload text, a few hundred bytes, rather than the decoded tiling
-    and certificate, several times that.  [find] and [fold] are a hash
-    lookup plus a parse of that payload: they never touch the disk and
-    never re-run {!Core.Certificate.check}, which [open_] ran on every
-    replayed record ([put] appends and keeps the payload of an entry
-    its caller built).  Each call returns freshly parsed values.
+    payload text, about a hundred bytes, rather than the decoded tiling,
+    several times that.  [find] and [fold] are a hash lookup, a parse of
+    that payload and {!Core.Certificate.build}: they never touch the
+    disk and never re-run {!Core.Certificate.check}, which [open_] ran
+    on every replayed record ([put] appends and keeps the payload of a
+    tiling its caller built).  Each call returns freshly built values.
 
     {2 Compaction}
 
@@ -69,8 +69,12 @@ type entry =
   | Found of {
       tiling : Tiling.Single.t;  (** canonical orientation *)
       certificate : Core.Certificate.t;
+          (** [Certificate.build tiling] from {!find} and {!fold}; {!put}
+              ignores it.  It stays only because the daemon benchmark
+              builds this constructor; removing it waits for a change
+              to it. *)
     }
-  | No_tiling  (** the bounded search proved exhaustion *)
+  | No_tiling  (** a bounded search found nothing *)
 
 type recovery = {
   live : int;  (** distinct keys after recovery *)
@@ -103,8 +107,8 @@ val put : t -> string -> entry -> unit
     {!Corpus.Layout.check_key} - a tiling for the canonical orientation
     whose key is [key] - enforced with [Invalid_argument], since a
     mismatched record would be dropped at the next recovery anyway; so
-    is an empty key.  The certificate is the caller's and is not
-    re-checked here. *)
+    is an empty key.  Only the tiling is stored; the entry's certificate
+    is ignored. *)
 
 val fold : t -> init:'b -> f:('b -> string -> entry -> 'b) -> 'b
 (** Over the live set in ascending key order (deterministic). *)

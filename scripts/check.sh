@@ -35,7 +35,7 @@ dune runtest
 # (DESIGN.md section 10).
 daemon=_build/default/bin/tilesched.exe
 symbols=$(nm "$daemon")
-for prefix in camlTypemod camlBechamel camlMicrobench camlServer__Loadgen camlTiling__Dlx; do
+for prefix in camlTypemod camlBechamel camlMicrobench camlServer__Loadgen camlOracle; do
   linked=$(printf '%s\n' "$symbols" | grep -c "$prefix" || true)
   if [ "$linked" -ne 0 ]; then
     echo "error: $daemon links $prefix ($linked symbols)" >&2

@@ -73,11 +73,13 @@ let test_campaign_counts_and_skip () =
       check_bands_to_6 r2.Campaign.bands)
 
 (* The n <= 6 segments, byte for byte: keys (canonical forms), record
-   framing, payload codec and CRC trailers.  The digest was computed
-   before the integer canonicalization and slice-by-8 CRC kernels
-   replaced the set-based and bytewise ones, so a change in any key or
-   checksum byte fails here. *)
-let golden_segments_to_6 = "4f1bb2d82df8c167038ac8329c7ab33f"
+   framing, payload codec and CRC trailers.  The digest was derived
+   outside this code from the previous format's segments, whose own
+   digest predates the integer canonicalization and slice-by-8 CRC
+   kernels: each exact payload cut to its first (tiling) line, the
+   magic and every CRC recomputed with zlib's CRC-32.  So a change in
+   any key or checksum byte fails here. *)
+let golden_segments_to_6 = "2c91705d736422dc4b80fd8c4044ef5a"
 
 let test_segments_golden () =
   with_temp_dir (fun dir ->
@@ -162,6 +164,47 @@ let test_snapshot_lookup_and_verify () =
       Alcotest.(check int) "verified non-exact" 14 r.Snapshot.non_exact;
       Alcotest.(check int) "verified index entries" 56 r.Snapshot.indexed)
 
+(* The first record [pick] finds in a built corpus's shards, given each
+   shard's records [(offset, band, tag, key, payload)] in file order,
+   with its segment path. *)
+let find_record dir pick =
+  let m = ok_or_fail (Layout.manifest_of_string (read_file (Filename.concat dir Layout.manifest_name))) in
+  List.find_map
+    (fun s ->
+      let seg = Filename.concat dir (Layout.segment_name s) in
+      match
+        Layout.fold_records (read_file seg) ~init:[]
+          ~f:(fun acc ~off ~band ~tag ~key ~payload -> (off, band, tag, key, payload) :: acc)
+      with
+      | Ok records -> Option.map (fun r -> (seg, r)) (pick (List.rev records))
+      | Error (_, _, e) -> Alcotest.fail e)
+    (List.init m.Layout.shards Fun.id)
+
+(* Put each case's record in place of [record] in [seg]: [verify] must
+   reject the corpus, naming [reason]; then the original record,
+   re-encoded, must give back the original bytes. *)
+let check_verify_rejects ~dir ~seg (off, band, tag, key, payload) cases =
+  let original = read_file seg in
+  let len = Layout.header_size + String.length key + String.length payload in
+  let replace record =
+    Out_channel.with_open_bin seg (fun oc ->
+        Out_channel.output_string oc
+          (String.sub original 0 off ^ record
+          ^ String.sub original (off + len) (String.length original - off - len)))
+  in
+  ignore (ok_or_fail (Snapshot.verify ~dir));
+  List.iter
+    (fun (what, record, reason) ->
+      replace record;
+      (match Snapshot.verify ~dir with
+      | Ok _ -> Alcotest.failf "verify accepted %s" what
+      | Error e ->
+        if not (contains e reason) then
+          Alcotest.failf "verify rejected %s for another reason: %s" what e);
+      replace (Layout.encode_record ~band ~tag ~key ~payload);
+      Alcotest.(check string) "the original record is restored" original (read_file seg))
+    cases
+
 (* A sealed corpus holds campaign verdicts only: a store's record kinds
    - tag 2 (not found, an exhausted search rather than a proof) or
    band 0 - are rejected by [verify] even when their frame, key and
@@ -170,42 +213,39 @@ let test_snapshot_lookup_and_verify () =
 let test_verify_rejects_store_records () =
   with_temp_dir (fun dir ->
       ignore (ok_or_fail (Campaign.run ~dir ~max_n:5 ()));
-      let m = ok_or_fail (Layout.manifest_of_string (read_file (Filename.concat dir Layout.manifest_name))) in
-      let seg, off, band, key =
-        let rec first s =
-          if s = m.Layout.shards then Alcotest.fail "no non-exact record in the corpus"
-          else
-            let seg = Filename.concat dir (Layout.segment_name s) in
-            match
-              Layout.fold_records (read_file seg) ~init:None
-                ~f:(fun acc ~off ~band ~tag ~key ~payload:_ ->
-                  if acc = None && tag = Layout.tag_non_exact then Some (off, band, key) else acc)
-            with
-            | Ok (Some (off, band, key)) -> (seg, off, band, key)
-            | Ok None -> first (s + 1)
-            | Error (_, _, e) -> Alcotest.fail e
-        in
-        first 0
+      match find_record dir (List.find_opt (fun (_, _, tag, _, _) -> tag = Layout.tag_non_exact)) with
+      | None -> Alcotest.fail "no non-exact record in the corpus"
+      | Some (seg, ((_, band, _, key, _) as record)) ->
+        check_verify_rejects ~dir ~seg record
+          [ ("a tag-2 record", Layout.encode_record ~band ~tag:Layout.tag_not_found ~key ~payload:"",
+             "tag 2");
+            ("a band-0 record", Layout.encode_record ~band:0 ~tag:Layout.tag_non_exact ~key ~payload:"",
+             "band 0") ])
+
+(* An exact payload is the tiling line alone.  [verify] rejects an exact
+   record that carries more - the previous format's three certificate
+   lines, or one empty trailing line - even with a valid frame and a
+   valid first line.  The record rewritten is the last of its shard, so
+   the longer payload moves no other record. *)
+let test_verify_rejects_trailing_lines () =
+  with_temp_dir (fun dir ->
+      ignore (ok_or_fail (Campaign.run ~dir ~max_n:5 ()));
+      let last_exact records =
+        match List.rev records with
+        | ((_, _, tag, _, _) as r) :: _ when tag = Layout.tag_exact -> Some r
+        | _ -> None
       in
-      let original = read_file seg in
-      let overwrite record =
-        let b = Bytes.of_string original in
-        Bytes.blit_string record 0 b off (String.length record);
-        Out_channel.with_open_bin seg (fun oc -> Out_channel.output_bytes oc b)
-      in
-      ignore (ok_or_fail (Snapshot.verify ~dir));
-      List.iter
-        (fun (what, record, reason) ->
-          overwrite record;
-          (match Snapshot.verify ~dir with
-          | Ok _ -> Alcotest.failf "verify accepted a %s record" what
-          | Error e ->
-            if not (contains e reason) then
-              Alcotest.failf "verify rejected the %s record for another reason: %s" what e);
-          overwrite (Layout.encode_record ~band ~tag:Layout.tag_non_exact ~key ~payload:"");
-          Alcotest.(check string) "the original record is restored" original (read_file seg))
-        [ ("tag-2", Layout.encode_record ~band ~tag:Layout.tag_not_found ~key ~payload:"", "tag 2");
-          ("band-0", Layout.encode_record ~band:0 ~tag:Layout.tag_non_exact ~key ~payload:"", "band 0") ])
+      match find_record dir last_exact with
+      | None -> Alcotest.fail "no shard ends with an exact record"
+      | Some (seg, ((_, band, _, key, payload) as record)) ->
+        let exact payload = Layout.encode_record ~band ~tag:Layout.tag_exact ~key ~payload in
+        let tiling = ok_or_fail (Layout.decode_payload payload) in
+        check_verify_rejects ~dir ~seg record
+          [ ("an exact payload with certificate lines",
+             exact (payload ^ "\n" ^ Core.Certificate.to_string (Core.Certificate.build tiling)),
+             "more than one line");
+            ("an exact payload with an empty trailing line", exact (payload ^ "\n"),
+             "more than one line") ])
 
 let test_unsealed_corpus_refused () =
   with_temp_dir (fun dir ->
@@ -372,6 +412,8 @@ let () =
           Alcotest.test_case "unsealed corpus refused" `Quick test_unsealed_corpus_refused;
           Alcotest.test_case "verify rejects tag-2 and band-0 records" `Quick
             test_verify_rejects_store_records;
+          Alcotest.test_case "verify rejects an exact payload with trailing lines" `Quick
+            test_verify_rejects_trailing_lines;
         ] );
       ( "engine",
         [

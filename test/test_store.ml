@@ -23,19 +23,22 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 let write_file path s =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
-let found_entry tile =
+let tiling_of tile =
   match Tiling.Search.find_tiling tile with
-  | Some tiling -> Store.Found { tiling; certificate = Core.Certificate.build tiling }
+  | Some tiling -> tiling
   | None -> Alcotest.failf "expected a tiling for a %d-cell tile" (Prototile.size tile)
 
+let found_entry tile =
+  let tiling = tiling_of tile in
+  Store.Found { tiling; certificate = Core.Certificate.build tiling }
+
 (* A store record built with the shared record codec: band 0, tag 1
-   with the exact payload for a Found entry, tag 2 with an empty payload
+   with the tiling line for a Found entry, tag 2 with an empty payload
    for No_tiling. *)
 let record key = function
   | Store.No_tiling -> Layout.encode_record ~band:0 ~tag:Layout.tag_not_found ~key ~payload:""
-  | Store.Found { tiling; certificate } ->
-    Layout.encode_record ~band:0 ~tag:Layout.tag_exact ~key
-      ~payload:(Layout.encode_payload tiling certificate)
+  | Store.Found { tiling; _ } ->
+    Layout.encode_record ~band:0 ~tag:Layout.tag_exact ~key ~payload:(Layout.encode_payload tiling)
 
 (* An entry as text: equal strings mean the same verdict, tiling and
    certificate. *)
@@ -321,18 +324,17 @@ let test_find_fold_roundtrip () =
       check_store "after reopen" store;
       Store.close store)
 
-(* [put] checks the keying rule but trusts its caller's certificate, and
-   [find] parses without re-proving; the proof runs at [open_].  So a
-   false certificate put by a faulty caller is served as stored until
-   the next recovery, which drops it. *)
-let test_find_does_not_reprove () =
+(* A certificate is never stored: [put] checks the keying rule and
+   writes the tiling line alone, and [find] derives the certificate from
+   that tiling.  So a false certificate handed to [put] by a faulty
+   caller is never served, and the record it leaves proves itself at the
+   next recovery. *)
+let test_put_stores_tiling_only () =
   let tee = Symmetry.canonical (tet `T) in
   let key = Layout.key_of_prototile tee in
-  let tiling, cert =
-    match found_entry tee with
-    | Store.Found { tiling; certificate } -> (tiling, certificate)
-    | Store.No_tiling -> assert false
-  in
+  let tiling = tiling_of tee in
+  let cert = Core.Certificate.build tiling in
+  let honest = Store.Found { tiling; certificate = cert } in
   let period = Core.Schedule.period cert.schedule in
   let colliding =
     { cert with
@@ -342,17 +344,21 @@ let test_find_does_not_reprove () =
   in
   Alcotest.(check bool) "the forged certificate fails its check" true
     (Core.Certificate.check colliding <> Ok ());
-  let forged = Store.Found { tiling; certificate = colliding } in
   with_temp_store (fun path ->
       let store = Store.open_ path in
-      Store.put store key forged;
+      Store.put store key (Store.Found { tiling; certificate = colliding });
       (match Store.find store key with
-      | Some e -> Alcotest.(check string) "served as put" (entry_text forged) (entry_text e)
-      | None -> Alcotest.fail "the put record is missing");
+      | Some (Store.Found { certificate; _ } as e) ->
+        Alcotest.(check bool) "the served certificate checks" true
+          (Core.Certificate.check certificate = Ok ());
+        Alcotest.(check string) "served as the honest entry" (entry_text honest) (entry_text e)
+      | _ -> Alcotest.fail "the put record is missing");
       Store.close store;
+      Alcotest.(check string) "the file holds the tiling line alone"
+        (Layout.seg_magic ^ record key honest) (read_file path);
       let store = Store.open_ path in
-      Alcotest.(check int) "recovery re-proves and drops it" 1 (Store.recovery store).Store.dropped;
-      Alcotest.(check bool) "absent after reopen" false (Store.mem store key);
+      Alcotest.(check int) "recovery proves it" 0 (Store.recovery store).Store.dropped;
+      Alcotest.(check bool) "present after reopen" true (Store.mem store key);
       Store.close store)
 
 (* ---------- crash recovery ---------- *)
@@ -438,28 +444,36 @@ let test_bitflip_never_served_invalid () =
         done
       done)
 
-(* A frame can pass its CRC and still carry a false proof: here the
-   T-tetromino's schedule puts every sensor in slot 0.  Recovery must
-   re-prove it, drop it, and keep serving the records on both sides. *)
-let test_rejected_certificate_dropped () =
+(* A frame can pass its CRC and still hold a false verdict.  The trust
+   anchor is the tiling line, so recovery drops a tiling line that
+   [Single.make] rejects (the T-tetromino's four translates with a
+   period of index 1 overlap), a true tiling under a key that is not its
+   canonical key (the rotated T, which is not canonical, under its own
+   cells), and a payload of the earlier format (the tiling line and
+   three certificate lines, all true), and keeps serving the records on
+   both sides of them. *)
+let test_false_exact_frames_dropped () =
   let tee = Symmetry.canonical (tet `T) in
   let key = Layout.key_of_prototile tee in
-  let tiling =
-    match found_entry tee with Store.Found { tiling; _ } -> tiling | Store.No_tiling -> assert false
+  let overlapping =
+    Core.Codec.encode_record ~kind:"tiling"
+      [ ("prototile", key); ("basis", "1,0;0,1"); ("offsets", "0,0") ]
   in
-  let cert = Core.Certificate.build tiling in
-  let period = Core.Schedule.period cert.schedule in
-  let colliding =
-    { cert with
-      schedule =
-        Core.Schedule.of_table ~period ~num_slots:(Core.Schedule.num_slots cert.schedule)
-          (Array.make (Sublattice.index period) 0) }
+  Alcotest.(check bool) "the overlapping tiling line is rejected" true
+    (Result.is_error (Core.Codec.tiling_of_string overlapping));
+  let rotated = Prototile.rot90 tee in
+  let tee_tiling = tiling_of tee in
+  let four_lines =
+    Layout.encode_payload tee_tiling ^ "\n"
+    ^ Core.Certificate.to_string (Core.Certificate.build tee_tiling)
   in
-  (match Oracle.Reference.check colliding with
-  | Error (Core.Certificate.Not_collision_free _) -> ()
-  | _ -> Alcotest.fail "the forged schedule must collide");
-  let forged = record key (Store.Found { tiling; certificate = colliding }) in
-  (* One more valid record after the forged frame. *)
+  let exact key payload = Layout.encode_record ~band:0 ~tag:Layout.tag_exact ~key ~payload in
+  let frames =
+    [ exact key overlapping;
+      exact (Layout.key_of_cells rotated) (Layout.encode_payload (tiling_of rotated));
+      exact key four_lines ]
+  in
+  (* One more valid record after the false frames. *)
   let ell = Symmetry.canonical (tet `L) in
   let after =
     with_temp_store (fun path ->
@@ -475,13 +489,13 @@ let test_rejected_certificate_dropped () =
         Symmetry.canonical (Prototile.of_cells [ v2 0 0; v2 1 0 ]); ell ]
   in
   with_temp_store (fun path ->
-      write_file path (sample_log_bytes () ^ forged ^ after);
+      write_file path (sample_log_bytes () ^ String.concat "" frames ^ after);
       let store = Store.open_ path in
       let r = Store.recovery store in
-      Alcotest.(check int) "the forged frame is dropped" 1 r.Store.dropped;
+      Alcotest.(check int) "the false frames are dropped" 3 r.Store.dropped;
       Alcotest.(check int) "nothing truncated" 0 r.Store.truncated_bytes;
       Alcotest.(check int) "every other frame replayed" 4 r.Store.records;
-      Alcotest.(check bool) "the forged key is absent" false (Store.mem store key);
+      Alcotest.(check bool) "the T's key is absent" false (Store.mem store key);
       List.iter
         (fun k ->
           match Store.find store k with
@@ -489,7 +503,7 @@ let test_rejected_certificate_dropped () =
           | Some (Store.Found { certificate; _ }) ->
             Alcotest.(check bool) "served certificate checks" true
               (Core.Certificate.check certificate = Ok ())
-          | None -> Alcotest.failf "record %s lost next to the forged frame" k)
+          | None -> Alcotest.failf "record %s lost next to a false frame" k)
         others;
       Alcotest.(check int) "live set is the other records" 4 (Store.length store);
       Store.close store)
@@ -667,8 +681,8 @@ let () =
             test_compaction_copies_payloads;
           Alcotest.test_case "find and fold give back what was put" `Quick
             test_find_fold_roundtrip;
-          Alcotest.test_case "find parses without re-proving" `Quick
-            test_find_does_not_reprove;
+          Alcotest.test_case "put stores the tiling, find derives the certificate" `Quick
+            test_put_stores_tiling_only;
           Alcotest.test_case "a file that is not a store is refused" `Quick
             test_foreign_file_refused;
           Alcotest.test_case "a key of 64 KiB or more round-trips" `Quick
@@ -683,8 +697,8 @@ let () =
             test_truncation_every_offset;
           Alcotest.test_case "bit flips never serve invalid data" `Slow
             test_bitflip_never_served_invalid;
-          Alcotest.test_case "CRC-valid frame with a colliding schedule is dropped" `Quick
-            test_rejected_certificate_dropped;
+          Alcotest.test_case "CRC-valid frames with a false tiling are dropped" `Quick
+            test_false_exact_frames_dropped;
         ] );
       ( "engine",
         [
