@@ -303,12 +303,19 @@ let daemon_exe () =
     (Filename.concat "bin" "tilesched.exe")
 
 (* The wire-protocol suite (EXP-SRV2): closed-loop warm tile-search
-   throughput under each dialect and their ratio, then the per-request
-   latency percentiles and the undecodable-reply count of a
-   10,000-connection binary open-loop run.  Each dialect is sampled
-   [server_pairs] times, text and binary interleaved; the throughput
-   rows are the medians of the samples and the ratio row is the median
-   of the per-pair ratios, so one slow sample cannot decide the gate.
+   throughput under each dialect, the daemon CPU each dialect costs per
+   request and the ratios of both, then the per-request latency
+   percentiles and the undecodable-reply count of a 10,000-connection
+   binary open-loop run.  Each dialect is sampled [server_pairs] times,
+   text and binary interleaved; the throughput and CPU rows are the
+   medians of the samples and the ratio rows are the medians of the
+   per-pair ratios, so one slow sample cannot decide the gate.
+   The gate is on the CPU ratio: the load generator and the daemon
+   share the host's cores, and the text client decodes and re-validates
+   every reply, so a wall-clock ratio falls whenever a layer both
+   dialects share gets faster, even when neither dialect's own code
+   changed.  The daemon's CPU time is read around each sample from
+   [/proc/<pid>/task/*/schedstat], which counts only the daemon.
    Every sample starts after a full major collection, so the garbage
    of one sample is not collected on the next one's clock (a binary
    sample would otherwise last only a few milliseconds).
@@ -321,6 +328,21 @@ let daemon_exe () =
 let server_pairs = 9
 
 let server_min_requests = 5_000
+
+(* Nanoseconds the daemon's threads have spent on a CPU: the first
+   field of each thread's [schedstat], summed.  A thread that exits
+   between the directory listing and the read is skipped. *)
+let daemon_cpu_ns pid =
+  let dir = Printf.sprintf "/proc/%d/task" pid in
+  Array.fold_left
+    (fun acc tid ->
+      match
+        In_channel.with_open_bin (Filename.concat (Filename.concat dir tid) "schedstat")
+          In_channel.input_all
+      with
+      | s -> acc + int_of_string (List.hd (String.split_on_char ' ' s))
+      | exception Sys_error _ -> acc)
+    0 (Sys.readdir dir)
 
 (* The middle sample ([server_pairs] is odd). *)
 let median xs =
@@ -410,20 +432,30 @@ let run_server ~quota =
             Server.Frontend.with_binary_connection ~path:sock (fun send ->
                 Server.Loadgen.run_binary ~send warmup)
           in
+          (* One sample: its throughput and the daemon's CPU per
+             request, in microseconds. *)
+          let sample run =
+            Gc.full_major ();
+            let cpu0 = daemon_cpu_ns pid in
+            let (r : Server.Loadgen.report) = run () in
+            let cpu = daemon_cpu_ns pid - cpu0 in
+            (r.throughput, float_of_int cpu /. 1_000. /. float_of_int n)
+          in
           let pairs =
             List.init server_pairs (fun _ ->
-                Gc.full_major ();
                 let text =
-                  Server.Frontend.with_connection ~path:sock (fun send ->
-                      Server.Loadgen.run_with ~send config)
+                  sample (fun () ->
+                      Server.Frontend.with_connection ~path:sock (fun send ->
+                          Server.Loadgen.run_with ~send config))
                 in
-                Gc.full_major ();
                 let binary =
-                  Server.Frontend.with_binary_connection ~path:sock (fun send ->
-                      Server.Loadgen.run_binary ~send config)
+                  sample (fun () ->
+                      Server.Frontend.with_binary_connection ~path:sock (fun send ->
+                          Server.Loadgen.run_binary ~send config))
                 in
-                (text.Server.Loadgen.throughput, binary.Server.Loadgen.throughput))
+                (text, binary))
           in
+          let ratio a b = if a > 0.0 then b /. a else 0.0 in
           let open_cfg =
             { Server.Loadgen.open_default with
               connections = 10_000;
@@ -439,16 +471,19 @@ let run_server ~quota =
           let lat = open_r.Server.Loadgen.latency in
           List.sort Stdlib.compare
             [
-              { name = "server-text-warm-rps"; value = median (List.map fst pairs);
-                unit = Per_s };
-              { name = "server-binary-warm-rps"; value = median (List.map snd pairs);
-                unit = Per_s };
+              { name = "server-text-warm-rps";
+                value = median (List.map (fun ((rps, _), _) -> rps) pairs); unit = Per_s };
+              { name = "server-binary-warm-rps";
+                value = median (List.map (fun (_, (rps, _)) -> rps) pairs); unit = Per_s };
               { name = "server-binary-vs-text-speedup";
-                value =
-                  median
-                    (List.map
-                       (fun (text, binary) -> if text > 0.0 then binary /. text else 0.0)
-                       pairs);
+                value = median (List.map (fun ((text, _), (binary, _)) -> ratio text binary) pairs);
+                unit = Ratio };
+              { name = "server-text-daemon-cpu-us";
+                value = median (List.map (fun ((_, cpu), _) -> cpu) pairs); unit = Us };
+              { name = "server-binary-daemon-cpu-us";
+                value = median (List.map (fun (_, (_, cpu)) -> cpu) pairs); unit = Us };
+              { name = "server-binary-vs-text-cpu-ratio";
+                value = median (List.map (fun ((_, text), (_, binary)) -> ratio binary text) pairs);
                 unit = Ratio };
               { name = "server-open-10k-p50-us"; value = lat.Netsim.Stats.p50_latency;
                 unit = Us };
@@ -633,18 +668,22 @@ let suites =
       run = run_corpus };
     { name = "server";
       doc =
-        "EXP-SRV2: text vs binary warm tile-search throughput through a spawned daemon and a \
-         10k-connection open-loop run (committed as BENCH_10.json)";
+        "EXP-SRV2: text vs binary warm tile-search throughput and daemon CPU per request \
+         through a spawned daemon, and a 10k-connection open-loop run (committed as \
+         BENCH_10.json)";
       required =
         [ ("server-text-warm-rps", Per_s);
           ("server-binary-warm-rps", Per_s);
           ("server-binary-vs-text-speedup", Ratio);
+          ("server-text-daemon-cpu-us", Us);
+          ("server-binary-daemon-cpu-us", Us);
+          ("server-binary-vs-text-cpu-ratio", Ratio);
           ("server-open-10k-p50-us", Us);
           ("server-open-10k-p95-us", Us);
           ("server-open-10k-p99-us", Us);
           ("server-open-10k-dropped", Count) ];
       gates =
-        [ { row = "server-binary-vs-text-speedup"; cmp = Ge; bound = Const 5.0 };
+        [ { row = "server-binary-vs-text-cpu-ratio"; cmp = Ge; bound = Const 5.0 };
           { row = "server-open-10k-dropped"; cmp = Eq; bound = Const 0.0 } ];
       run = run_server };
   ]

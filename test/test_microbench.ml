@@ -48,8 +48,11 @@ let corpus_rows ~mmap_cold =
     { M.name = "corpus/corpus-store-coldstart-find"; value = 3727050.095; unit = M.Ns };
     { M.name = "corpus/corpus-store-find-warm"; value = 51.343; unit = M.Ns } ]
 
-let server_rows ~speedup ~dropped =
+let server_rows ?(speedup = 6.376) ~cpu_ratio ~dropped () =
   [ { M.name = "server-binary-vs-text-speedup"; value = speedup; unit = M.Ratio };
+    { M.name = "server-binary-vs-text-cpu-ratio"; value = cpu_ratio; unit = M.Ratio };
+    { M.name = "server-binary-daemon-cpu-us"; value = 1.096; unit = M.Us };
+    { M.name = "server-text-daemon-cpu-us"; value = 7.203; unit = M.Us };
     { M.name = "server-binary-warm-rps"; value = 388289.576; unit = M.Per_s };
     { M.name = "server-open-10k-dropped"; value = dropped; unit = M.Count };
     { M.name = "server-open-10k-p50-us"; value = 145443.0; unit = M.Us };
@@ -72,16 +75,19 @@ let test_gates_fire () =
   ok "committed corpus rows pass" (Ok ())
     (M.check (suite "corpus") (corpus_rows ~mmap_cold:89122.582));
   ok "committed server rows pass" (Ok ())
-    (M.check (suite "server") (server_rows ~speedup:7.389 ~dropped:0.0));
+    (M.check (suite "server") (server_rows ~cpu_ratio:6.52 ~dropped:0.0 ()));
+  (* The wall-clock ratio is reported, not gated. *)
+  ok "a low wall-clock speedup passes" (Ok ())
+    (M.check (suite "server") (server_rows ~speedup:4.9 ~cpu_ratio:6.52 ~dropped:0.0 ()));
   expect_error ~mentions:"corpus-mmap-coldstart-find <= corpus-store-coldstart-find"
     (M.check (suite "corpus") (corpus_rows ~mmap_cold:3727051.0));
-  expect_error ~mentions:"server-binary-vs-text-speedup >= 5"
-    (M.check (suite "server") (server_rows ~speedup:4.9 ~dropped:0.0));
+  expect_error ~mentions:"server-binary-vs-text-cpu-ratio >= 5"
+    (M.check (suite "server") (server_rows ~cpu_ratio:4.9 ~dropped:0.0 ()));
   expect_error ~mentions:"server-open-10k-dropped == 0"
-    (M.check (suite "server") (server_rows ~speedup:7.389 ~dropped:1.0))
+    (M.check (suite "server") (server_rows ~cpu_ratio:6.52 ~dropped:1.0 ()))
 
 let test_required_rows_and_units () =
-  let rows = server_rows ~speedup:7.389 ~dropped:0.0 in
+  let rows = server_rows ~cpu_ratio:6.52 ~dropped:0.0 () in
   expect_error ~mentions:"missing required benchmark rows: server-open-10k-p99-us"
     (M.check (suite "server")
        (List.filter (fun (r : M.row) -> r.name <> "server-open-10k-p99-us") rows));
@@ -103,11 +109,11 @@ let test_artifact_format () =
   let v1 = "[\n  {\"name\": \"server-open-10k-dropped\", \"ns_per_call\": 0.000}\n]\n" in
   expect_error ~mentions:"v1 artifact" (M.of_json v1);
   let server = suite "server" in
-  let good = M.to_json server (server_rows ~speedup:7.389 ~dropped:0.0) in
+  let good = M.to_json server (server_rows ~cpu_ratio:6.52 ~dropped:0.0 ()) in
   (match M.validate_json good with
   | Ok (s, rows) ->
     Alcotest.(check string) "names its suite" "server" s.M.name;
-    Alcotest.(check int) "all rows" 7 (List.length rows)
+    Alcotest.(check int) "all rows" 10 (List.length rows)
   | Error e -> Alcotest.fail e);
   (* The first occurrence of [sub] in [s] replaced by [by]. *)
   let replace ~sub ~by s =
