@@ -3,14 +3,46 @@ open Lattice
 
 let magic = "tilesched/v1"
 
-let vec_to_string v = String.concat "," (List.map string_of_int (Vec.to_list v))
+(* Decimal digits of [n <= 0] without its sign, most significant first:
+   working on the non-positive side keeps [min_int] in range. *)
+let rec add_digits buf n =
+  if n <= -10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+(* [Buffer.add_string buf (string_of_int n)] without the string. *)
+let add_int buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf n
+  end
+  else add_digits buf (-n)
+
+let add_vec buf v =
+  for i = 0 to Vec.dim v - 1 do
+    if i > 0 then Buffer.add_char buf ',';
+    add_int buf (Vec.coord v i)
+  done
+
+let vec_to_string v =
+  let buf = Buffer.create (4 * Vec.dim v) in
+  add_vec buf v;
+  Buffer.contents buf
 
 let vec_of_string s =
   match List.map int_of_string (String.split_on_char ',' s) with
   | coords -> Ok (Vec.of_list coords)
   | exception Failure _ -> Error ("bad vector: " ^ s)
 
-let vecs_to_string vs = String.concat ";" (List.map vec_to_string vs)
+(* One buffer for the whole list: a cache key is built this way on
+   every request, so no per-vector or per-coordinate string is made. *)
+let vecs_to_string vs =
+  let buf = Buffer.create 64 in
+  List.iteri
+    (fun i v ->
+      if i > 0 then Buffer.add_char buf ';';
+      add_vec buf v)
+    vs;
+  Buffer.contents buf
 
 let vecs_of_string s =
   let parts = if s = "" then [] else String.split_on_char ';' s in
@@ -67,14 +99,6 @@ let field kvs k =
 let ( let* ) = Result.bind
 
 let prototile_to_string p = encode_record ~kind:"prototile" [ ("cells", vecs_to_string (Prototile.cells p)) ]
-
-let prototile_of_string s =
-  let* kvs = decode_record ~kind:"prototile" s in
-  let* cells_s = field kvs "cells" in
-  let* cells = vecs_of_string cells_s in
-  match Prototile.of_cells cells with
-  | p -> Ok p
-  | exception _ -> Error "invalid prototile (empty, mixed dims, or origin missing)"
 
 let basis_to_string lam = vecs_to_string (Sublattice.generators lam)
 

@@ -10,9 +10,10 @@
     tilesched/v1;dim=2;m=9;basis=3,0;0,3;table=0,1,2,3,4,5,6,7,8
     v}
 
-    [prototile_*] and [tiling_*] round-trip the other artifacts for
-    configuration files; [csv_assignment] exports a per-sensor slot
-    table for external tooling. *)
+    [tiling_*] round-trip the tiling for configuration files,
+    [prototile_to_string] prints a prototile (certificates use it),
+    and [csv_assignment] exports a per-sensor slot table for external
+    tooling. *)
 
 (** {2 Record-layer helpers}
 
@@ -37,12 +38,16 @@ val field : (string * string) list -> string -> (string, string) result
 val vec_to_string : Zgeom.Vec.t -> string
 val vec_of_string : string -> (Zgeom.Vec.t, string) result
 val vecs_to_string : Zgeom.Vec.t list -> string
+(** [vec_to_string] is the coordinates in decimal joined by [','],
+    [vecs_to_string] those joined by [';'] ([""] for no vector).  Both
+    write every digit into one buffer, so the only string made is the
+    result: the engine builds a cache key this way on every request. *)
+
 val vecs_of_string : string -> (Zgeom.Vec.t list, string) result
 
 (** {2 Artifact codecs} *)
 
 val prototile_to_string : Lattice.Prototile.t -> string
-val prototile_of_string : string -> (Lattice.Prototile.t, string) result
 
 val schedule_to_string : Schedule.t -> string
 val schedule_of_string : string -> (Schedule.t, string) result

@@ -8,16 +8,11 @@ let of_table ~period ~num_slots table =
   assert (Array.for_all (fun s -> 0 <= s && s < num_slots) table);
   { period; num_slots; table = Array.copy table }
 
+(* [Single.make] already covered every coset, so Theorem 1's table is
+   its cell-index table: no coset walk, no reduction. *)
 let of_tiling tiling =
-  let period = Tiling.Single.period tiling in
-  let idx = Sublattice.index period in
-  let table =
-    Array.init idx (fun _ -> 0)
-  in
-  List.iter
-    (fun c -> table.(Sublattice.coset_id period c) <- Tiling.Single.cell_index tiling c)
-    (Sublattice.cosets period);
-  { period; num_slots = Tiling.Single.slots tiling; table }
+  { period = Tiling.Single.period tiling; num_slots = Tiling.Single.slots tiling;
+    table = Tiling.Single.cell_indices tiling }
 
 let of_multi multi =
   let period = Tiling.Multi.period multi in

@@ -151,13 +151,13 @@ let tiling_fields t hit =
 
 (* ---------- decode (the cold path) ---------- *)
 
-let entry t hit =
+let tiling t hit =
   match verdict t hit with
   | `Non_exact -> Ok None
-  | `Exact ->
-    Result.map
-      (fun tiling -> Some (tiling, Core.Certificate.build tiling))
-      (Layout.decode_payload (payload t hit))
+  | `Exact -> Result.map Option.some (Layout.decode_payload (payload t hit))
+
+let entry t hit =
+  Result.map (Option.map (fun tl -> (tl, Core.Certificate.build tl))) (tiling t hit)
 
 (* ---------- verify ---------- *)
 

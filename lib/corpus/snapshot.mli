@@ -13,13 +13,13 @@
     {!hit} is just a (shard, offset) pair into the maps.  Accessors
     slice from the mapped buffer on demand: {!tiling_fields} is the
     zero-deserialization reply path (one line scan + one blit, no
-    parsing), {!entry} the validating cold path for requests that must
+    parsing), {!tiling} the validating cold path for requests that must
     transport or re-derive the tiling.
 
     Trust model: the snapshot believes the sealed corpus (the campaign
     validated everything it wrote, and [verify] re-proves the whole
     corpus offline); readers that need a checked artifact go through
-    {!entry}, whose codec revalidates the tiling via [Single.make]: the
+    {!tiling}, whose codec revalidates the tiling via [Single.make]: the
     trust anchor is that tiling, from which certificates are derived. *)
 
 type t
@@ -65,9 +65,12 @@ val tiling_raw : t -> hit -> buf * int * int
 val payload : t -> hit -> string
 (** The raw record payload (empty for non-exact verdicts). *)
 
+val tiling : t -> hit -> (Tiling.Single.t option, string) result
+(** Validating decode: [None] for a non-exact verdict, the tiling
+    revalidated by {!Layout.decode_payload} for an exact one. *)
+
 val entry : t -> hit -> ((Tiling.Single.t * Core.Certificate.t) option, string) result
-(** Validating decode: [None] for a non-exact verdict, the revalidated
-    tiling and [Certificate.build] of it for an exact one.  The derived
+(** {!tiling} paired with [Certificate.build] of it.  The derived
     certificate stays in the result only because the daemon benchmark
     matches this shape; removing it waits for a change to it. *)
 

@@ -4,9 +4,11 @@ open Lattice
 (* What the cache remembers per canonical tile: either a tiling (with the
    schedule it induces, both for the canonical orientation; a reply that
    carries a certificate builds it from the pair) or the verdict that a
-   bounded search found nothing. *)
+   bounded search found nothing.  The schedule is lazy so that a corpus
+   hit answered in another orientation never builds the canonical one;
+   cached entries carry an already-forced schedule. *)
 type entry =
-  | Found of { tiling : Tiling.Single.t; schedule : Core.Schedule.t }
+  | Found of { tiling : Tiling.Single.t; schedule : Core.Schedule.t Lazy.t }
   | Absent
 
 type t = {
@@ -57,12 +59,14 @@ let stats t : Protocol.server_stats =
    the tiling alone, so the certificate handed to it costs no schedule. *)
 let entry_of_stored : Store.entry -> entry = function
   | Store.No_tiling -> Absent
-  | Store.Found { tiling; certificate } -> Found { tiling; schedule = certificate.schedule }
+  | Store.Found { tiling; certificate } ->
+    Found { tiling; schedule = Lazy.from_val certificate.schedule }
 
 let stored_of_entry : entry -> Store.entry = function
   | Absent -> Store.No_tiling
   | Found { tiling; schedule } ->
-    Store.Found { tiling; certificate = Core.Certificate.of_schedule tiling schedule }
+    Store.Found
+      { tiling; certificate = Core.Certificate.of_schedule tiling (Lazy.force schedule) }
 
 (* [Tiling.Search.find_tiling] with the wall clock checked before every
    stage: a single stage can overshoot, so the bound is per-stage
@@ -77,7 +81,8 @@ let first_hit t tile =
     | Seq.Cons (stage, rest) -> (
       match stage () with
       | None -> first rest
-      | Some tiling -> Some (Found { tiling; schedule = Core.Schedule.of_tiling tiling }))
+      | Some tiling ->
+        Some (Found { tiling; schedule = Lazy.from_val (Core.Schedule.of_tiling tiling) }))
   in
   first (Tiling.Search.stages tile)
 
@@ -121,7 +126,7 @@ let answer t (req : Protocol.request) ~tile ~g ~source entry : Protocol.response
   | Absent -> No_tiling source
   | Found { tiling; schedule } -> (
     let oriented =
-      if Prototile.equal tile (Tiling.Single.prototile tiling) then Ok (tiling, lazy schedule)
+      if Prototile.equal tile (Tiling.Single.prototile tiling) then Ok (tiling, schedule)
       else
         match transport ~tile ~g tiling with
         | Ok tl -> Ok (tl, lazy (Core.Schedule.of_tiling tl))
@@ -155,10 +160,11 @@ let answer t (req : Protocol.request) ~tile ~g ~source entry : Protocol.response
    verbatim into the reply ([Tiling_raw_r]) - no decode, no revalidation,
    no allocation beyond the reply line itself.  Every other shape
    (slot/schedule derivation, congruent orientations needing transport)
-   decodes through [Snapshot.entry] and reuses the ordinary [answer]
-   path.  Corpus hits never populate the LRU: the snapshot lookup is
-   already O(log) in a mapped index, so promotion would only evict
-   entries the slower tiers still need. *)
+   decodes the tiling alone through [Snapshot.tiling] and reuses the
+   ordinary [answer] path, which builds one schedule, for the
+   orientation it answers.  Corpus hits never populate the LRU: the
+   snapshot lookup is already O(log) in a mapped index, so promotion
+   would only evict entries the slower tiers still need. *)
 let answer_corpus t (req : Protocol.request) ~tile ~canon ~g corpus hit : Protocol.response =
   let source = Some Protocol.Corpus in
   match Corpus.Snapshot.verdict corpus hit with
@@ -168,9 +174,10 @@ let answer_corpus t (req : Protocol.request) ~tile ~canon ~g corpus hit : Protoc
     | Tile_search _ when Prototile.equal tile canon ->
       Tiling_raw_r { tiling_fields = Corpus.Snapshot.tiling_fields corpus hit; source }
     | _ -> (
-      match Corpus.Snapshot.entry corpus hit with
-      | Ok (Some (tiling, certificate)) ->
-        answer t req ~tile ~g ~source (Found { tiling; schedule = certificate.schedule })
+      match Corpus.Snapshot.tiling corpus hit with
+      | Ok (Some tiling) ->
+        answer t req ~tile ~g ~source
+          (Found { tiling; schedule = lazy (Core.Schedule.of_tiling tiling) })
       | Ok None -> assert false (* verdict above was [`Exact] *)
       | Error msg ->
         t.errors <- t.errors + 1;

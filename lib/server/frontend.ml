@@ -239,16 +239,17 @@ let serve_unix ?(idle_timeout = 0.) engine ~path =
   (* The snapshot is immutable, so the corpus verdict is a pure
      function of the request payload bytes; [memo] caches it per
      payload and lets a repeated probe skip the tile decode and
-     canonical-key build entirely. *)
+     canonical-key build entirely.  The payload is the one copy a warm
+     frame costs: the frame itself is read in the input buffer. *)
   let memo :
       (string, [ `Exact of Wire.bigstring * int * int | `Non_exact | `Miss ])
       Hashtbl.t =
     Hashtbl.create 1024
   in
   let memo_cap = 65536 in
-  let frame_payload frame =
-    String.sub frame Wire.header_size
-      (String.length frame - Wire.header_size - Wire.trailer_size)
+  (* The payload of the [total]-byte frame at [off] of [b]. *)
+  let payload b ~off ~total =
+    Bytes.sub_string b (off + Wire.header_size) (total - Wire.header_size - Wire.trailer_size)
   in
   let probe corpus key =
     match Corpus.Snapshot.find corpus key with
@@ -272,21 +273,11 @@ let serve_unix ?(idle_timeout = 0.) engine ~path =
       true
     | `Exact (seg, pos, len) ->
       Atomic.incr fast_hits;
-      let head =
-        Wire.frame_prefix ?id ~opcode:Wire.op_tiling_r ~payload_len:(len + 1)
-          ()
-        ^ String.make 1 (Wire.src_byte (Some Protocol.Corpus))
-      in
-      let crc =
-        Wire.crc_emit
-          (Wire.crc_bigstring
-             (Wire.crc_string Wire.crc_init head 0 (String.length head))
-             seg pos len)
-      in
+      let env = Wire.splice_envelope ?id ~source:(Some Protocol.Corpus) seg pos len in
       Loop.send loop c
-        [ Epoll.Str (head, 0, String.length head);
+        [ Epoll.Str (env, 0, Wire.splice_head_len);
           Epoll.Big (seg, pos, len);
-          Epoll.Str (crc, 0, String.length crc) ];
+          Epoll.Str (env, Wire.splice_head_len, Wire.trailer_size) ];
       true
   in
   let fast_path loop c st id req frame eligible =
@@ -295,24 +286,26 @@ let serve_unix ?(idle_timeout = 0.) engine ~path =
       let key = Corpus.Layout.key_of_cells tile in
       let p = probe corpus key in
       if Hashtbl.length memo < memo_cap then
-        Hashtbl.replace memo (frame_payload frame) p;
+        Hashtbl.replace memo
+          (payload (Bytes.unsafe_of_string frame) ~off:0 ~total:(String.length frame))
+          p;
       serve_probe loop c id p
     | _ -> false
   in
   (* Pre-decode route: a tile-search frame whose payload was probed
-     before is answered from the frame bytes alone - CRC check, id
-     peel, splice.  A CRC mismatch falls through to the decoder, which
-     rejects the frame and kills the connection. *)
-  let fast_frame loop c st frame eligible =
+     before is answered from the frame bytes alone, in the input
+     buffer - CRC check, id peel, splice.  A CRC mismatch falls through
+     to the decoder, which rejects the frame and kills the connection. *)
+  let fast_frame loop c st b ~off ~total eligible =
     eligible && st.pending = 0 && corpus <> None
-    && String.length frame > Wire.header_size + Wire.trailer_size
-    && Wire.frame_opcode frame = Wire.op_tile_search
+    && total > Wire.header_size + Wire.trailer_size
+    && Wire.frame_opcode_at b ~off = Wire.op_tile_search
     &&
-    match Hashtbl.find_opt memo (frame_payload frame) with
+    match Hashtbl.find_opt memo (payload b ~off ~total) with
     | None | Some `Miss -> false
     | Some p ->
-      Wire.frame_crc_ok frame
-      && serve_probe loop c (Wire.frame_id frame) p
+      Wire.frame_crc_ok_at b ~off ~total
+      && serve_probe loop c (Wire.frame_id_at b ~off) p
   in
   let process_binary loop c st =
     let ids = ref [] and reqs = ref [] in
@@ -327,9 +320,11 @@ let serve_unix ?(idle_timeout = 0.) engine ~path =
       | Wire.Total total ->
         if st.ibuf.Ibuf.len < total then continue := false
         else begin
-          let frame = Bytes.sub_string st.ibuf.Ibuf.data st.ibuf.Ibuf.start total in
-          Ibuf.drop st.ibuf total;
-          if not (fast_frame loop c st frame (!reqs = [])) then
+          let b = st.ibuf.Ibuf.data and off = st.ibuf.Ibuf.start in
+          if fast_frame loop c st b ~off ~total (!reqs = []) then Ibuf.drop st.ibuf total
+          else
+            let frame = Bytes.sub_string b off total in
+            Ibuf.drop st.ibuf total;
             match Wire.decode_request frame with
             | Error _ ->
               corrupt := true;

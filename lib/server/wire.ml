@@ -123,17 +123,37 @@ let frame_total buf ~off ~avail =
    vetted - the frontend's pre-decode fast route reads these straight
    off the frame bytes. *)
 
-let frame_opcode s = Char.code s.[3]
+let frame_opcode_at b ~off = Char.code (Bytes.get b (off + 3))
 
-let frame_id s =
-  let idv = Int32.to_int (String.get_int32_le s 4) land no_id in
+let frame_id_at b ~off =
+  let idv = Int32.to_int (Bytes.get_int32_le b (off + 4)) land no_id in
   if idv = no_id then None else Some idv
 
+let frame_crc_ok_at b ~off ~total =
+  total >= header_size + trailer_size
+  && Bytes.get_int32_le b (off + total - trailer_size)
+     = Int32.lognot (crc_string crc_init (Bytes.unsafe_to_string b) off (total - trailer_size))
+
+let frame_opcode s = frame_opcode_at (Bytes.unsafe_of_string s) ~off:0
+let frame_id s = frame_id_at (Bytes.unsafe_of_string s) ~off:0
+
 let frame_crc_ok s =
-  let n = String.length s in
-  n >= header_size + trailer_size
-  && String.get_int32_le s (n - trailer_size)
-     = Int32.lognot (crc_string crc_init s 0 (n - trailer_size))
+  frame_crc_ok_at (Bytes.unsafe_of_string s) ~off:0 ~total:(String.length s)
+
+(* Header, source byte and trailer of a spliced tiling reply in one
+   string: the first [splice_head_len] bytes go before the fragment,
+   the last [trailer_size] after it. *)
+let splice_head_len = header_size + 1
+
+let splice_envelope ?id ~source seg pos len =
+  let b = Bytes.create (splice_head_len + trailer_size) in
+  set_prefix b ?id ~opcode:op_tiling_r ~payload_len:(len + 1) ();
+  Bytes.set b header_size (src_byte source);
+  let crc =
+    crc_bigstring (crc_string crc_init (Bytes.unsafe_to_string b) 0 splice_head_len) seg pos len
+  in
+  Bytes.set_int32_le b splice_head_len (Int32.lognot crc);
+  Bytes.unsafe_to_string b
 
 (* ---------- payload writers ---------- *)
 

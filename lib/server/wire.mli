@@ -96,6 +96,13 @@ val frame_id : string -> int option
 val frame_crc_ok : string -> bool
 (** Whether the frame's CRC trailer matches its header + payload. *)
 
+val frame_opcode_at : bytes -> off:int -> int
+val frame_id_at : bytes -> off:int -> int option
+
+val frame_crc_ok_at : bytes -> off:int -> total:int -> bool
+(** The three peeks above on a [total]-byte frame at [off] of a
+    receive buffer, read in place. *)
+
 (** {2 Zero-copy framing}
 
     A spliced reply is sent as [prefix ^ src ^ mmap-slice ^ crc] via
@@ -115,3 +122,13 @@ val crc_bigstring : int32 -> bigstring -> int -> int -> int32
 
 val crc_emit : int32 -> string
 (** Finalize the accumulator into the 4-byte LE trailer. *)
+
+val splice_head_len : int
+
+val splice_envelope :
+  ?id:int -> source:Protocol.source option -> bigstring -> int -> int -> string
+(** [splice_envelope ?id ~source seg pos len] is everything of a
+    tiling reply but its fragment [seg.[pos .. pos + len - 1]], in one
+    string: its first {!splice_head_len} bytes (header and source byte)
+    go before the fragment and its last {!trailer_size} bytes (the CRC
+    over head and fragment) after it.  Send as three iovecs. *)

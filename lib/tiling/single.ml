@@ -85,6 +85,8 @@ let cell_index t v =
   let _, _, k = t.cover.(Sublattice.coset_id t.period v) in
   k
 
+let cell_indices t = Array.map (fun (_, _, k) -> k) t.cover
+
 let iter_window dim radius f =
   let rec go i prefix =
     if i = dim then f (Vec.of_list (List.rev prefix))

@@ -54,6 +54,11 @@ val cell_index : t -> Zgeom.Vec.t -> int
 (** Index (0-based, in [Prototile.cells] order) of the cell covering [v];
     [Theorem 1] assigns slot [cell_index + 1]. *)
 
+val cell_indices : t -> int array
+(** A fresh array of length [Sublattice.index (period t)] whose entry
+    [id] is [cell_index t v] for every [v] with [Sublattice.coset_id
+    (period t) v = id]: the table {!make} already built, copied. *)
+
 val check_window : t -> radius:int -> bool
 (** Independent brute-force re-verification on the cube [[-radius,
     radius]^d]: every point is covered by exactly one translate. Used by

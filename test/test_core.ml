@@ -513,15 +513,6 @@ let test_codec_tiling_roundtrip () =
       (Sublattice.equal (Tiling.Single.period t) (Tiling.Single.period t'));
     Alcotest.(check bool) "still verifies" true (Tiling.Single.check_window t' ~radius:5)
 
-let test_codec_prototile_roundtrip () =
-  List.iter
-    (fun p ->
-      match Core.Codec.prototile_of_string (Core.Codec.prototile_to_string p) with
-      | Ok p' -> Alcotest.(check bool) "prototile roundtrip" true (Prototile.equal p p')
-      | Error e -> Alcotest.fail e)
-    [ Prototile.pentomino `X; Prototile.chebyshev_ball ~dim:2 2;
-      Prototile.of_cells [ Vec.of_list [ 0; 0; 0 ]; Vec.of_list [ 1; 1; 1 ] ] ]
-
 let test_codec_rejects_garbage () =
   Alcotest.(check bool) "not a record" true
     (Result.is_error (Core.Codec.schedule_of_string "hello"));
@@ -708,8 +699,7 @@ let qcheck_codec_mutation_total =
     let s = Prototile.tetromino `S in
     let t = Option.get (Tiling.Search.find_tiling s) in
     let sched = Core.Schedule.of_tiling t in
-    [ Core.Codec.prototile_to_string s; Core.Codec.schedule_to_string sched;
-      Core.Codec.tiling_to_string t ]
+    [ Core.Codec.schedule_to_string sched; Core.Codec.tiling_to_string t ]
   in
   let mutate_gen line =
     QCheck.Gen.(
@@ -734,7 +724,6 @@ let qcheck_codec_mutation_total =
   QCheck.Test.make ~name:"mutated encodings never raise" ~count:1000
     QCheck.(make ~print:Fun.id Gen.(oneof (List.map mutate_gen seeds)))
     (fun line ->
-      (match Core.Codec.prototile_of_string line with Ok _ | Error _ -> ());
       (match Core.Codec.schedule_of_string line with Ok _ | Error _ -> ());
       (match Core.Codec.tiling_of_string line with Ok _ | Error _ -> ());
       true)
@@ -800,6 +789,56 @@ let qcheck_codec_table_in_coset_order =
       with
       | Ok kvs -> List.assoc_opt "table" kvs = Some (String.concat "," expected)
       | Error _ -> false)
+
+(* The one-buffer vector encoder writes the bytes of the
+   [String.concat] encoder it replaced: every key and record line
+   depends on it.  Coordinates mix zero, small values of either sign
+   and the extremes, where a digit writer that negates overflows. *)
+let qcheck_vec_encoder_matches_oracle =
+  let coord =
+    QCheck.Gen.(
+      frequency
+        [ (3, int_range (-12) 12); (1, return 0); (1, oneofl [ min_int; max_int; min_int + 1 ]);
+          (2, int) ])
+  in
+  let gen =
+    QCheck.Gen.(
+      int_range 1 3 >>= fun dim ->
+      list_size (0 -- 6) (map Vec.of_list (list_repeat dim coord)))
+  in
+  let print vs = String.concat " " (List.map Vec.to_string vs) in
+  QCheck.Test.make ~name:"vector encoder = String.concat oracle" ~count:1000
+    (QCheck.make ~print gen) (fun vs ->
+      Core.Codec.vecs_to_string vs = Oracle.Keys.vecs_to_string vs
+      && List.for_all (fun v -> Core.Codec.vec_to_string v = Oracle.Keys.vec_to_string v) vs)
+
+(* [Schedule.of_tiling] copies the cell-index table [Single.make]
+   built; the coset walk it replaced must give the same table, on
+   lattice tilings of random polyominoes and on the multi-offset
+   tilings the search finds for sparse tiles. *)
+let qcheck_schedule_matches_coset_walk =
+  let gen =
+    QCheck.Gen.(
+      bool >>= fun sparse ->
+      int_range 1 (if sparse then 5 else 8) >>= fun cells ->
+      int_bound 1_000_000 >|= fun seed -> (sparse, random_tile ~sparse ~cells seed))
+  in
+  let print (_, p) = Prototile.to_string p in
+  QCheck.Test.make ~name:"Schedule.of_tiling = coset-walk oracle" ~count:300
+    (QCheck.make ~print gen) (fun (sparse, p) ->
+      let tiling =
+        if sparse then Tiling.Search.find_tiling p else Tiling.Search.find_lattice_tiling p
+      in
+      match tiling with
+      | None -> QCheck.assume_fail ()
+      | Some t ->
+        let s = Core.Schedule.of_tiling t and o = Oracle.Coset_walk.schedule_of_tiling t in
+        let period = Core.Schedule.period s in
+        Core.Schedule.num_slots s = Core.Schedule.num_slots o
+        && Sublattice.equal period (Core.Schedule.period o)
+        && List.for_all
+             (fun id -> Core.Schedule.slot_of_id s id = Core.Schedule.slot_of_id o id)
+             (List.init (Sublattice.index period) Fun.id))
 
 let qcheck_theorem1_random_polyominoes =
   let gen =
@@ -919,7 +958,6 @@ let () =
         [
           Alcotest.test_case "schedule roundtrip" `Quick test_codec_schedule_roundtrip;
           Alcotest.test_case "tiling roundtrip" `Quick test_codec_tiling_roundtrip;
-          Alcotest.test_case "prototile roundtrip" `Quick test_codec_prototile_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_codec_rejects_garbage;
           Alcotest.test_case "csv export" `Quick test_codec_csv;
           Alcotest.test_case "rejects invalid tiling" `Quick test_codec_tiling_rejects_invalid;
@@ -927,6 +965,8 @@ let () =
           qc qcheck_codec_random_schedules;
           qc qcheck_codec_mutation_total;
           qc qcheck_codec_table_in_coset_order;
+          qc qcheck_vec_encoder_matches_oracle;
+          qc qcheck_schedule_matches_coset_walk;
         ] );
       ( "mobile",
         [

@@ -421,7 +421,22 @@ let same_tiling a b =
    the corpus entry) must give the same tiling in both dialects.  An
    in-process engine without a corpus searches both orientations and
    must give the same tiling too: the corpus stores [decide]'s tiling,
-   which is the search's first hit. *)
+   which is the search's first hit.  Then every class in all 8
+   orientations asks for two slots, its schedule and its tiling in both
+   dialects: each reply must carry [src=corpus] and, source aside, be
+   byte-equal to the corpus-less engine's reply (a text line as sent;
+   a binary frame as re-encoded from its decoded reply).  So the lazy
+   schedule of a corpus hit, built for the orientation it answers,
+   matches the schedule a searched and cached entry gives. *)
+let with_source source (r : Protocol.response) : Protocol.response =
+  match r with
+  | Slot_r x -> Slot_r { x with source }
+  | Schedule_r x -> Schedule_r { x with source }
+  | Tiling_r x -> Tiling_r { x with source }
+  | Tiling_raw_r x -> Tiling_raw_r { x with source }
+  | No_tiling _ -> No_tiling source
+  | r -> r
+
 let test_reply_paths_agree () =
   let dir = Filename.temp_file "tilesched-wire-corpus" "" in
   Sys.remove dir;
@@ -488,6 +503,63 @@ let test_reply_paths_agree () =
               if not (Prototile.equal (Tiling.Single.prototile t) rotated) then
                 Alcotest.failf "text rotated %s: tiling not in the asked orientation" name)
             rot_reference)
+        (List.rev !classes);
+      let corpus = Some Protocol.Corpus in
+      let text_line r = Protocol.response_to_string ~id:1 r in
+      let frame r = Wire.encode_response ~id:1 r in
+      List.iter
+        (fun canon ->
+          List.iter
+            (fun g ->
+              let tile =
+                Prototile.of_cells_anchored (List.map (Symmetry.apply g) (Prototile.cells canon))
+              in
+              let name = Core.Codec.vecs_to_string (Prototile.cells tile) in
+              let reqs =
+                [ Protocol.Slot { tile; pos = v2 0 0 }; Protocol.Slot { tile; pos = v2 5 (-3) };
+                  Protocol.Schedule tile; Protocol.Tile_search tile ]
+              in
+              let expected = List.map (fun r -> with_source corpus (Engine.handle fresh r)) reqs in
+              (* The slots and schedule the engine gives must be Theorem
+                 1's for the tiling it gives in this orientation, built
+                 by the coset-walk oracle. *)
+              let derived : Protocol.response list =
+                match List.nth expected 3 with
+                | Tiling_r { tiling; _ } ->
+                  if not (Prototile.equal (Tiling.Single.prototile tiling) tile) then
+                    Alcotest.failf "fresh %s: tiling not in the asked orientation" name;
+                  let s = Oracle.Coset_walk.schedule_of_tiling tiling in
+                  let slot pos =
+                    Protocol.Slot_r
+                      { slot = Core.Schedule.slot_at s pos; num_slots = Core.Schedule.num_slots s;
+                        source = corpus }
+                  in
+                  [ slot (v2 0 0); slot (v2 5 (-3)); Schedule_r { schedule = s; source = corpus } ]
+                | No_tiling _ -> [ No_tiling corpus; No_tiling corpus; No_tiling corpus ]
+                | r -> Alcotest.failf "fresh %s: %s" name (text_line r)
+              in
+              List.iteri
+                (fun i want ->
+                  if text_line (List.nth expected i) <> text_line want then
+                    Alcotest.failf "fresh %s request %d: not Theorem 1's schedule of its tiling"
+                      name i)
+                derived;
+              let texts = tsend (List.map (Protocol.request_to_string ~id:1) reqs) in
+              let frames = bsend reqs in
+              List.iteri
+                (fun i ((want, text), got) ->
+                  if text <> text_line want then
+                    Alcotest.failf "text %s request %d:\n  got  %s\n  want %s" name i text
+                      (text_line want);
+                  match got with
+                  | Ok (_, r) ->
+                    if Protocol.source_of_response r <> corpus then
+                      Alcotest.failf "binary %s request %d: not answered from the corpus" name i;
+                    if frame r <> frame want then
+                      Alcotest.failf "binary %s request %d: reply differs from the engine's" name i
+                  | Error e -> Alcotest.failf "binary %s request %d: %s" name i e)
+                (List.combine (List.combine expected texts) frames))
+            Symmetry.elements)
         (List.rev !classes))
 
 let () =
