@@ -1,14 +1,13 @@
 open Zgeom
 open Lattice
 
-(* What the cache remembers per canonical tile: either a tiling (with the
-   schedule it induces, both for the canonical orientation; a reply that
-   carries a certificate builds it from the pair) or the verdict that a
-   bounded search found nothing.  The schedule is lazy so that a corpus
-   hit answered in another orientation never builds the canonical one;
-   cached entries carry an already-forced schedule. *)
+(* What the cache remembers per canonical tile: either a tiling of the
+   canonical orientation or the verdict that a bounded search found
+   nothing.  A reply derives the schedule (and a certificate from it)
+   for the orientation it answers: [Schedule.of_tiling] copies a table
+   [Single.make] already built, so keeping one is not worth a field. *)
 type entry =
-  | Found of { tiling : Tiling.Single.t; schedule : Core.Schedule.t Lazy.t }
+  | Found of Tiling.Single.t
   | Absent
 
 type t = {
@@ -54,19 +53,15 @@ let stats t : Protocol.server_stats =
     cache_evictions; cache_entries = Cache.length t.cache; store_hits = t.store_hits;
     corpus_hits = t.corpus_hits }
 
-(* The store keeps the tiling and derives its certificate on [find]; the
-   memory tier keeps that certificate's schedule.  [Store.put] stores
-   the tiling alone, so the certificate handed to it costs no schedule. *)
+(* The store keeps the tiling and derives its certificate on [find];
+   [Store.put] stores the tiling alone. *)
 let entry_of_stored : Store.entry -> entry = function
   | Store.No_tiling -> Absent
-  | Store.Found { tiling; certificate } ->
-    Found { tiling; schedule = Lazy.from_val certificate.schedule }
+  | Store.Found { tiling; certificate = _ } -> Found tiling
 
 let stored_of_entry : entry -> Store.entry = function
   | Absent -> Store.No_tiling
-  | Found { tiling; schedule } ->
-    Store.Found
-      { tiling; certificate = Core.Certificate.of_schedule tiling (Lazy.force schedule) }
+  | Found tiling -> Store.Found { tiling; certificate = Core.Certificate.build tiling }
 
 (* [Tiling.Search.find_tiling] with the wall clock checked before every
    stage: a single stage can overshoot, so the bound is per-stage
@@ -81,8 +76,7 @@ let first_hit t tile =
     | Seq.Cons (stage, rest) -> (
       match stage () with
       | None -> first rest
-      | Some tiling ->
-        Some (Found { tiling; schedule = Lazy.from_val (Core.Schedule.of_tiling tiling) }))
+      | Some tiling -> Some (Found tiling))
   in
   first (Tiling.Search.stages tile)
 
@@ -124,19 +118,19 @@ type resolution =
 let answer t (req : Protocol.request) ~tile ~g ~source entry : Protocol.response =
   match entry with
   | Absent -> No_tiling source
-  | Found { tiling; schedule } -> (
+  | Found tiling -> (
     let oriented =
-      if Prototile.equal tile (Tiling.Single.prototile tiling) then Ok (tiling, schedule)
+      if Prototile.equal tile (Tiling.Single.prototile tiling) then Ok tiling
       else
-        match transport ~tile ~g tiling with
-        | Ok tl -> Ok (tl, lazy (Core.Schedule.of_tiling tl))
-        | Error msg -> Error ("internal: transported tiling invalid: " ^ msg)
+        Result.map_error
+          (( ^ ) "internal: transported tiling invalid: ")
+          (transport ~tile ~g tiling)
     in
     match oriented with
     | Error msg ->
       t.errors <- t.errors + 1;
       Error_r msg
-    | Ok (tl, sched) -> (
+    | Ok tl -> (
       match req with
       | Slot { pos; _ } ->
         if Vec.dim pos <> Prototile.dim tile then begin
@@ -144,14 +138,12 @@ let answer t (req : Protocol.request) ~tile ~g ~source entry : Protocol.response
           Error_r "pos dimension does not match tile"
         end
         else
-          let sched = Lazy.force sched in
+          let sched = Core.Schedule.of_tiling tl in
           Slot_r
             { slot = Core.Schedule.slot_at sched pos;
               num_slots = Core.Schedule.num_slots sched; source }
-      | Schedule _ -> Schedule_r { schedule = Lazy.force sched; source }
-      | Tile_search _ ->
-        Tiling_r
-          { tiling = tl; certificate = Core.Certificate.of_schedule tl (Lazy.force sched); source }
+      | Schedule _ -> Schedule_r { schedule = Core.Schedule.of_tiling tl; source }
+      | Tile_search _ -> Tiling_r { tiling = tl; certificate = Core.Certificate.build tl; source }
       | Stats | Shutdown -> assert false))
 
 (* Answer straight from the mmap snapshot.  A [Tile_search] for the
@@ -162,7 +154,7 @@ let answer t (req : Protocol.request) ~tile ~g ~source entry : Protocol.response
    (slot/schedule derivation, congruent orientations needing transport)
    decodes the tiling alone through [Snapshot.tiling] and reuses the
    ordinary [answer] path, which builds one schedule, for the
-   orientation it answers.  Corpus hits never populate the LRU: the
+   orientation it answers, and only when the reply needs one.  Corpus hits never populate the LRU: the
    snapshot lookup is already O(log) in a mapped index, so promotion
    would only evict entries the slower tiers still need. *)
 let answer_corpus t (req : Protocol.request) ~tile ~canon ~g corpus hit : Protocol.response =
@@ -176,8 +168,7 @@ let answer_corpus t (req : Protocol.request) ~tile ~canon ~g corpus hit : Protoc
     | _ -> (
       match Corpus.Snapshot.tiling corpus hit with
       | Ok (Some tiling) ->
-        answer t req ~tile ~g ~source
-          (Found { tiling; schedule = lazy (Core.Schedule.of_tiling tiling) })
+        answer t req ~tile ~g ~source (Found tiling)
       | Ok None -> assert false (* verdict above was [`Exact] *)
       | Error msg ->
         t.errors <- t.errors + 1;
