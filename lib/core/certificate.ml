@@ -3,11 +3,9 @@ open Lattice
 
 type t = { prototile : Prototile.t; schedule : Schedule.t; clique : Vec.t list }
 
-let of_schedule tiling schedule =
+let build tiling =
   let prototile = Tiling.Single.prototile tiling in
-  { prototile; schedule; clique = Prototile.cells prototile }
-
-let build tiling = of_schedule tiling (Schedule.of_tiling tiling)
+  { prototile; schedule = Schedule.of_tiling tiling; clique = Prototile.cells prototile }
 
 type failure =
   | Wrong_clique_size of int * int

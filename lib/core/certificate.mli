@@ -40,10 +40,6 @@ val build : Tiling.Single.t -> t
 (** Certificate for the Theorem-1 schedule of a tiling: the clique is the
     tile at the origin's translation ([N] itself). *)
 
-val of_schedule : Tiling.Single.t -> Schedule.t -> t
-(** [build] for a caller that already holds the tiling's Theorem-1
-    schedule: [of_schedule t (Schedule.of_tiling t) = build t]. *)
-
 type failure =
   | Wrong_clique_size of int * int  (** expected, got *)
   | Not_a_clique of Zgeom.Vec.t * Zgeom.Vec.t  (** a non-interfering pair *)

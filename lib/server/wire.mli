@@ -106,7 +106,8 @@ val frame_crc_ok_at : bytes -> off:int -> total:int -> bool
 (** {2 Zero-copy framing}
 
     A spliced reply is sent as [prefix ^ src ^ mmap-slice ^ crc] via
-    iovecs; these are the pieces. *)
+    iovecs; these are the pieces, and {!splice_envelope} builds all of
+    them but the slice in one string. *)
 
 val frame_prefix : ?id:int -> opcode:int -> payload_len:int -> unit -> string
 (** The {!header_size}-byte frame header. *)
